@@ -82,6 +82,7 @@ __all__ = [
     "enumerate_atoms",
     "enumerate_system",
     "extremal_elasticity_decomposition",
+    "factorizations",
     "format_sequence",
     "is_aamp",
     "is_atom",

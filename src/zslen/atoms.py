@@ -158,9 +158,7 @@ def enumerate_atoms(
     full_support = len(sup_indices) == group.order()
 
     first_positions = None
-    gens = None
     if symmetry and full_support and nonzero:
-        gens = group.automorphism_generators()
         orbit_min = []
         for p, x in enumerate(nonzero):
             if min(group.orbit_of_tuple((x,)))[0] == x:
@@ -171,17 +169,10 @@ def enumerate_atoms(
 
     if first_positions is not None:
         # close the reduced result under the automorphism group
-        seen = {tuple(sorted(t)): None for t in raw}
-        frontier = list(seen)
-        while frontier:
-            nxt = []
-            for t in frontier:
-                for perm in gens:
-                    img = tuple(sorted(perm[i] for i in t))
-                    if img not in seen:
-                        seen[img] = None
-                        nxt.append(img)
-            frontier = nxt
+        seen: set[tuple[int, ...]] = set()
+        for t in raw:
+            if t not in seen:
+                seen |= group.orbit_of_tuple(t)
         raw = list(seen)
 
     atoms = []

@@ -54,14 +54,13 @@ class Config:
 
     budget: int = DEFAULT_BUDGET
     factorization_cap: int = DEFAULT_FACTORIZATION_CAP
-    threads: int = 0  # 0 = machine parallelism
+    threads: int = 0  # accepted for compatibility; has no effect
     output: str = "text"
 
     def __post_init__(self):
-        if self.threads == 0:
-            self.threads = os.cpu_count() or 1
-        if self.budget < 1 or self.factorization_cap < 1 or self.threads < 1:
-            raise ValueError("caps and thread counts must be >= 1")
+        # --threads 0 meant machine parallelism, so 0 stays accepted
+        if self.budget < 1 or self.factorization_cap < 1 or self.threads < 0:
+            raise ValueError("caps must be >= 1 and thread counts >= 0")
 
 
 def _emit(args, payload: dict, text_lines):
@@ -253,7 +252,6 @@ def cmd_closed(args) -> int:
         group,
         bound=args.bound,
         budget=cfg.budget,
-        threads=cfg.threads,
         symmetry=args.symmetry,
     )
     payload = {
@@ -388,10 +386,10 @@ def cmd_aamp(args) -> int:
 def cmd_verify(args) -> int:
     cfg = _config(args)
     if args.scenario == "all":
-        scenarios = run_all(heavy=args.heavy, budget=cfg.budget, threads=cfg.threads)
+        scenarios = run_all(heavy=args.heavy, budget=cfg.budget)
     else:
         scenarios = [
-            run_scenario(args.scenario, heavy=args.heavy, budget=cfg.budget, threads=cfg.threads)
+            run_scenario(args.scenario, heavy=args.heavy, budget=cfg.budget)
         ]
     payload = {
         "scenarios": [
@@ -443,7 +441,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="JSON output")
         p.add_argument("--budget", type=int, default=None, help="node budget")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker count (default: machine parallelism)")
+                       help="accepted for compatibility; has no effect")
         p.add_argument("--cap", type=int, default=DEFAULT_FACTORIZATION_CAP,
                        help="factorization materialization cap")
 

@@ -242,6 +242,73 @@ def length_set(b: Sequence, atoms: AtomSet | None = None, budget=None) -> Length
     return LengthSet.from_mask(mask)
 
 
+# hook answers for walk_atom_multisets
+SKIP = 1  # visit: leave out the node's children; take: pass over the item
+STOP = 2  # visit: end the walk
+END = 3  # take: pass over the item and every later one at this node
+
+
+def walk_atom_multisets(items, counts: list[int], visit, take=None) -> bool:
+    """Depth-first walk over the multisets of ``items``.
+
+    ``items`` are sparse ``(index, multiplicity)`` vectors.  A multiset is
+    reached once, as the non-decreasing list ``chosen`` of its item
+    positions.  Each chosen item is added into ``counts`` (a list, restored
+    on return), so at every node it holds its starting value plus the sum
+    of the chosen items.
+    ``visit(depth, chosen)`` runs at every node, the empty root first, and
+    returns None to descend, SKIP to leave out the node's children or STOP
+    to end the walk.  Before item ``p`` joins a node of depth ``depth``,
+    ``take(p, depth)`` returns None to add it, SKIP to pass over it or END
+    to pass over it and every later item.  Returns True when a visit
+    stopped the walk.
+    """
+    chosen: list[int] = []
+    n = len(items)
+
+    def rec(pos: int, depth: int) -> bool:
+        # the node at ``depth`` has been visited; walk its children
+        child = depth + 1
+        for p in range(pos, n):
+            if take is not None:
+                t = take(p, depth)
+                if t is not None:
+                    if t == SKIP:
+                        continue
+                    break  # END
+            sp = items[p]
+            for i, m in sp:
+                counts[i] += m
+            chosen.append(p)
+            got = visit(child, chosen)
+            if got is None:
+                stop = rec(p, child)
+            else:
+                stop = got == STOP
+            chosen.pop()
+            for i, m in sp:
+                counts[i] -= m
+            if stop:
+                return True
+        return False
+
+    got = visit(0, chosen)
+    return got == STOP or (got is None and rec(0, 0))
+
+
+def dividing(items, counts: list[int], target):
+    """A ``take`` hook for walk_atom_multisets that passes over every item
+    that would push ``counts`` above ``target`` in some coordinate."""
+
+    def take(p, depth):
+        for i, m in items[p]:
+            if counts[i] + m > target[i]:
+                return SKIP
+        return None
+
+    return take
+
+
 def factorization_index_lists(
     aset: AtomSet,
     counts,
@@ -250,36 +317,25 @@ def factorization_index_lists(
 ) -> list[tuple[int, ...]]:
     """All factorizations of the multiplicity vector ``counts`` as sorted
     non-increasing tuples of atom indices, each multiset exactly once."""
-    bud = budget if budget is not None else Budget(None)
-    sparse = aset.atoms_sparse
+    bud = as_budget(budget)
+    target = list(counts)
+    top = len(aset.atoms_sparse) - 1
+    items = aset.atoms_sparse[::-1]  # position p is atom index top - p
+    work = [0] * len(target)
     results: list[tuple[int, ...]] = []
-    work = list(counts)
 
-    def rec(max_idx: int, chosen: tuple[int, ...]):
+    def visit(depth, chosen):
         bud.spend()
-        if not any(work):
-            results.append(chosen)
-            if cap is not None and len(results) > cap:
-                raise CapExceededError(
-                    f"more than {cap} factorizations; raise the cap to materialize"
-                )
-            return
-        for idx in range(max_idx, -1, -1):
-            sp = sparse[idx]
-            ok = True
-            for i, m in sp:
-                if work[i] < m:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            for i, m in sp:
-                work[i] -= m
-            rec(idx, chosen + (idx,))
-            for i, m in sp:
-                work[i] += m
+        if work != target:
+            return None
+        results.append(tuple(top - p for p in chosen))
+        if cap is not None and len(results) > cap:
+            raise CapExceededError(
+                f"more than {cap} factorizations; raise the cap to materialize"
+            )
+        return SKIP
 
-    rec(len(sparse) - 1, ())
+    walk_atom_multisets(items, work, visit, dividing(items, work, target))
     results.sort()
     return results
 

@@ -9,8 +9,8 @@ procedure.  The search walks multisets in a fixed lexicographic order
 (m - k) + L(P) is not contained in L, which is sound because the remaining
 atoms can always be left untouched.  The first witness found in that order
 is the lexicographically minimal one, which keeps output independent of
-thread count and of the optional automorphism reduction (restricting the
-leading atom to orbit-minimal atoms never discards the minimal witness).
+the optional automorphism reduction (restricting the leading atom to
+orbit-minimal atoms never discards the minimal witness).
 
 Every potentially explosive operation takes a node budget; exhausting it
 yields a typed inconclusive outcome, never a wrong boolean.
@@ -34,9 +34,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
-from .budget import Budget, BudgetExceededError, as_budget
+from .budget import BudgetExceededError, as_budget
 from .atoms import AtomSet, atom_set_for, davenport
-from .factorize import LengthSet, length_mask, length_set
+from .factorize import (
+    END,
+    SKIP,
+    STOP,
+    LengthSet,
+    dividing,
+    length_mask,
+    length_set,
+    walk_atom_multisets,
+)
 from .groups import AbelianGroup
 from .sequences import Sequence
 
@@ -100,6 +109,38 @@ class LengthSystem:
         return len(self.sets)
 
 
+def walk_zero_sum_sequences(aset: AtomSet, bound: int, budget, hook) -> None:
+    """Call ``hook(mask, counts)`` for every zero-sum sequence B over the
+    support of ``aset`` with |B| <= bound, where ``mask`` is the bitmask
+    of L(B) and ``counts`` the multiplicity tuple of B.
+
+    Sequences are walked depth first as non-decreasing lists of support
+    indices, the empty sequence first; every node spends one from the
+    budget, and only zero-sum nodes reach the hook.
+    """
+    bud = as_budget(budget)
+    group = aset.group
+    sup_idx = [group.index_of(e) for e in aset.support]
+    size = group.order()
+    add = group.add_table()
+    counts = [0] * size
+
+    def rec(pos: int, depth: int, sig: int):
+        bud.spend()
+        if sig == 0:
+            key = tuple(counts)
+            hook(length_mask(aset, key, bud), key)
+        if depth == bound:
+            return
+        for p in range(pos, len(sup_idx)):
+            x = sup_idx[p]
+            counts[x] += 1
+            rec(p, depth + 1, add[sig * size + x])
+            counts[x] -= 1
+
+    rec(0, 0, 0)
+
+
 def enumerate_system(
     group: AbelianGroup,
     support=None,
@@ -118,47 +159,20 @@ def enumerate_system(
         raise ValueError(f"unknown bound kind {bound_kind!r}")
     bud = as_budget(budget)
     aset = atom_set_for(group, support)
-    sup_idx = [group.index_of(e) for e in aset.support]
-    size = group.order()
-    add = group.add_table()
     found: dict[int, tuple[int, ...]] = {}  # L mask -> first witness counts
 
-    counts = [0] * size
     if bound_kind == "seq_length":
-
-        def rec(pos: int, depth: int, sig: int):
-            bud.spend()
-            if sig == 0:
-                mask = length_mask(aset, tuple(counts), bud)
-                if mask not in found:
-                    found[mask] = tuple(counts)
-            if depth == bound:
-                return
-            for p in range(pos, len(sup_idx)):
-                x = sup_idx[p]
-                counts[x] += 1
-                rec(p, depth + 1, add[sig * size + x])
-                counts[x] -= 1
-
-        rec(0, 0, 0)
+        walk_zero_sum_sequences(aset, bound, bud, found.setdefault)
     else:
-        sparse = aset.atoms_sparse
+        counts = [0] * group.order()
 
-        def rec_atoms(max_idx: int, depth: int):
+        def visit(depth, chosen):
             bud.spend()
-            mask = length_mask(aset, tuple(counts), bud)
-            if mask not in found:
-                found[mask] = tuple(counts)
-            if depth == bound:
-                return
-            for idx in range(max_idx, -1, -1):
-                for i, m in sparse[idx]:
-                    counts[i] += m
-                rec_atoms(idx, depth + 1)
-                for i, m in sparse[idx]:
-                    counts[i] -= m
+            key = tuple(counts)
+            found.setdefault(length_mask(aset, key, bud), key)
+            return SKIP if depth == bound else None
 
-        rec_atoms(len(sparse) - 1, 0)
+        walk_atom_multisets(aset.atoms_sparse[::-1], counts, visit)
 
     sets = []
     for mask, wit_counts in found.items():
@@ -216,37 +230,20 @@ def _tau_order(aset: AtomSet) -> list[int]:
 
 def _orbit_minimal_flags(aset: AtomSet) -> list[bool]:
     """Whether each atom is minimal in its automorphism orbit under the
-    oracle's ordering key.  Orbits are closed under a generating set, so
-    the whole automorphism group never needs materializing."""
-    group = aset.group
-    gens = group.automorphism_generators()
-    flags = [False] * len(aset.atoms_sparse)
-    index_of = {sp: k for k, sp in enumerate(aset.atoms_sparse)}
-    visited = [False] * len(flags)
-    for start, sp0 in enumerate(aset.atoms_sparse):
-        if visited[start]:
-            continue
-        orbit = {sp0}
-        frontier = [sp0]
-        while frontier:
-            nxt = []
-            for sp in frontier:
-                for perm in gens:
-                    imgd: dict[int, int] = {}
-                    for i, m in sp:
-                        j = perm[i]
-                        imgd[j] = imgd.get(j, 0) + m
-                    img = tuple(sorted(imgd.items()))
-                    if img not in orbit:
-                        orbit.add(img)
-                        nxt.append(img)
-            frontier = nxt
-        least = min(orbit)
-        for sp in orbit:
-            k = index_of.get(sp)
-            if k is not None:
-                visited[k] = True
-                flags[k] = sp == least
+    oracle's ordering key (atoms of one orbit have equal length, so the
+    key is the sparse encoding).  ``aset`` covers all of G, so every orbit
+    member is one of its atoms."""
+    sparse = aset.atoms_sparse
+    spelled = {
+        tuple(i for i, m in sp for _ in range(m)): k for k, sp in enumerate(sparse)
+    }
+    flags: list[bool | None] = [None] * len(sparse)
+    for t, k in spelled.items():
+        if flags[k] is None:
+            orbit = [spelled[u] for u in aset.group.orbit_of_tuple(t)]
+            least = min(orbit, key=sparse.__getitem__)
+            for j in orbit:
+                flags[j] = j == least
     return flags
 
 
@@ -278,63 +275,51 @@ def decide_length_set(
 
     aset = atom_set_for(group)
     order = _tau_order(aset)
-    sparse = aset.atoms_sparse
-    lengths = [len(aset.atoms[i]) for i in range(len(order))]
+    items = [aset.atoms_sparse[i] for i in order]
+    lengths = [len(aset.atoms[i]) for i in order]
     d_max = aset.max_len
-    size = group.order()
-    counts = [0] * size
+    counts = [0] * group.order()
+    totals = [0] * (m + 1)  # length of the partial product, by depth
+    flags = _orbit_minimal_flags(aset) if symmetry else None
+    witness_counts: list[tuple[int, ...]] = []
 
-    first_allowed = None
-    if symmetry:
-        flags = _orbit_minimal_flags(aset)
-        first_allowed = [flags[i] for i in order]
+    def take(p, depth):
+        if depth == 0 and flags is not None and not flags[order[p]]:
+            return SKIP
+        bud.spend()
+        # capacity: the largest reachable max-length after adding the
+        # remaining atoms cannot fall short of max(target); atoms are
+        # walked longest-first, so the bound only shrinks from here (the
+        # zero atom is the only atom of length 1)
+        nzeros = counts[0] + (lengths[p] == 1)
+        ntotal = totals[depth] + lengths[p]
+        if nzeros + (ntotal - nzeros + (m - depth - 1) * d_max) // 2 < x_max:
+            return END
+        totals[depth + 1] = ntotal
+        return None
 
-    witness_counts: list[tuple[int, ...] | None] = [None]
-
-    def rec(pos: int, depth: int, total: int, zeros: int):
-        if witness_counts[0] is not None:
-            return
-        if depth == m:
-            bud.spend()
+    def visit(depth, chosen):
+        mask = None
+        if depth >= 2:
             mask = length_mask(aset, tuple(counts), bud)
-            if mask == tmask:
-                witness_counts[0] = tuple(counts)
-            return
-        rem = m - depth - 1
-        for p in range(pos, len(order)):
-            if depth == 0 and first_allowed is not None and not first_allowed[p]:
-                continue
-            bud.spend()
-            idx = order[p]
-            alen = lengths[idx]
-            nzeros = zeros + (1 if sparse[idx] == ((0, 1),) else 0)
-            ntotal = total + alen
-            # capacity: the largest reachable max-length after adding the
-            # remaining atoms cannot fall short of max(target); atoms are
-            # walked longest-first, so the bound only shrinks from here
-            ub = nzeros + (ntotal - nzeros + rem * d_max) // 2
-            if ub < x_max:
-                break
-            for i, mm in sparse[idx]:
-                counts[i] += mm
-            prune = False
-            if 1 <= depth:
-                pmask = length_mask(aset, tuple(counts), bud)
-                if (pmask << rem) & ~tmask:
-                    prune = True
-            if not prune:
-                rec(p, depth + 1, ntotal, nzeros)
-            for i, mm in sparse[idx]:
-                counts[i] -= mm
-            if witness_counts[0] is not None:
-                return
+            if (mask << (m - depth)) & ~tmask:
+                return SKIP
+        if depth < m:
+            return None
+        bud.spend()
+        if mask is None:
+            mask = length_mask(aset, tuple(counts), bud)
+        if mask != tmask:
+            return SKIP
+        witness_counts.append(tuple(counts))
+        return STOP
 
     try:
-        rec(0, 0, 0, 0)
+        walk_atom_multisets(items, counts, visit, take)
     except BudgetExceededError:
-        if witness_counts[0] is None:
+        if not witness_counts:
             return DecideResult(None, None, bud.used)
-    if witness_counts[0] is None:
+    if not witness_counts:
         return DecideResult(False, None, bud.used)
     pairs = tuple((i, c) for i, c in enumerate(witness_counts[0]) if c)
     return DecideResult(True, Sequence._from_index_pairs(group, pairs), bud.used)
@@ -361,36 +346,26 @@ def rho_k(
     bud = as_budget(budget)
     aset = atom_set_for(group)
     order = _tau_order(aset)
-    sparse = aset.atoms_sparse
-    size = group.order()
-    counts = [0] * size
-    first_allowed = None
-    if symmetry:
-        flags = _orbit_minimal_flags(aset)
-        first_allowed = [flags[i] for i in order]
-    best = [0]
+    counts = [0] * group.order()
+    flags = _orbit_minimal_flags(aset) if symmetry else None
+    best = 0
 
-    def rec(pos: int, depth: int):
-        if depth == k:
-            bud.spend()
-            mask = length_mask(aset, tuple(counts), bud)
-            top = mask.bit_length() - 1
-            if top > best[0]:
-                best[0] = top
-            return
-        for p in range(pos, len(order)):
-            if depth == 0 and first_allowed is not None and not first_allowed[p]:
-                continue
-            bud.spend()
-            idx = order[p]
-            for i, mm in sparse[idx]:
-                counts[i] += mm
-            rec(p, depth + 1)
-            for i, mm in sparse[idx]:
-                counts[i] -= mm
+    def take(p, depth):
+        if depth == 0 and flags is not None and not flags[order[p]]:
+            return SKIP
+        bud.spend()
+        return None
 
-    rec(0, 0)
-    return best[0]
+    def visit(depth, chosen):
+        nonlocal best
+        if depth < k:
+            return None
+        bud.spend()
+        best = max(best, length_mask(aset, tuple(counts), bud).bit_length() - 1)
+        return SKIP
+
+    walk_atom_multisets([aset.atoms_sparse[i] for i in order], counts, visit, take)
+    return best
 
 
 def elasticity(group: AbelianGroup) -> Fraction:
@@ -415,44 +390,27 @@ def extremal_elasticity_decomposition(b: Sequence, budget=None):
         return None
     m = ls.min
     aset = atom_set_for(group, b.support())
-    max_atoms = [
-        (i, aset.atoms_sparse[i])
-        for i in range(len(aset.atoms))
-        if len(aset.atoms[i]) == d
-    ]
-    size = group.order()
-    counts = list(b.counts())
-    chosen: list[int] = []
-    found: list[tuple[int, ...] | None] = [None]
+    max_atoms = [i for i in range(len(aset.atoms)) if len(aset.atoms[i]) == d]
+    items = [aset.atoms_sparse[i] for i in max_atoms]
+    target = list(b.counts())
+    counts = [0] * len(target)
+    found: list[int] = []
 
-    def rec(start: int, depth: int):
-        if found[0] is not None:
-            return
-        if depth == m:
-            if not any(counts):
-                found[0] = tuple(chosen)
-            return
-        for t in range(start, len(max_atoms)):
-            i, sp = max_atoms[t]
-            ok = all(counts[j] >= mm for j, mm in sp)
-            if not ok:
-                continue
-            for j, mm in sp:
-                counts[j] -= mm
-            chosen.append(i)
-            rec(t, depth + 1)
-            chosen.pop()
-            for j, mm in sp:
-                counts[j] += mm
+    def visit(depth, chosen):
+        if depth < m:
+            return None
+        if counts != target:
+            return SKIP
+        found.extend(max_atoms[t] for t in chosen)
+        return STOP
 
-    rec(0, 0)
-    if found[0] is None:
+    if not walk_atom_multisets(items, counts, visit, dividing(items, counts, target)):
         raise RuntimeError(
             "elasticity ratio attained but no pairing into maximal-length "
             "atoms was found; this contradicts the extremal structure"
         )
     remaining: dict[Sequence, int] = {}
-    for i in found[0]:
+    for i in found:
         a = aset.atoms[i]
         remaining[a] = remaining.get(a, 0) + 1
     pairs: list[Sequence] = []
@@ -516,19 +474,16 @@ def delta_star_bounded(group: AbelianGroup, bound: int = 12, budget=None) -> Del
             f"|G| = {size} is beyond desk scale"
         )
     bud = as_budget(budget)
-    autos = group.automorphisms()
     nonzero = list(range(1, size))
     reps = []
     seen: set[tuple[int, ...]] = set()
     for bits in range(1, 1 << len(nonzero)):
         subset = tuple(nonzero[i] for i in range(len(nonzero)) if (bits >> i) & 1)
-        canon = min(
-            tuple(sorted(perm[i] for i in subset)) for perm in autos
-        )
-        if canon in seen:
+        if subset in seen:
             continue
-        seen.add(canon)
-        reps.append(canon)
+        orbit = group.orbit_of_tuple(subset)
+        seen |= orbit
+        reps.append(min(orbit))
     entries = []
     elems = group.elements()
     for subset in sorted(reps):
@@ -685,9 +640,9 @@ def check_additively_closed(
     scan (useful when a non-closure witness is suspected in advance).
 
     Distinct sumsets are each decided once, in a canonical order (ascending
-    minimum, then values, priority pairs first); every decision reads only
-    the frozen initial witness table and owns an independent budget, so the
-    report is byte-for-byte identical regardless of the worker count.
+    minimum, then values, priority pairs first), and every decision owns an
+    independent budget.  The scan is sequential; ``threads`` is accepted
+    for compatibility and has no effect.
     """
     budget_limit = None if budget is None else int(budget)
     system = enumerate_system(group, None, "seq_length", bound, budget_limit)
@@ -740,34 +695,14 @@ def check_additively_closed(
     inconclusive: list[SumsetCheck] = []
     failed: SumsetCheck | None = None
     done = 0
-    chunk = max(1, int(threads))
-    if chunk == 1:
-        for s in tasks:
-            sc = check_sumset(s)
-            done += 1
-            if sc.outcome == "not-realizable":
-                failed = sc
-                break
-            if sc.outcome == "inconclusive":
-                inconclusive.append(sc)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=chunk) as pool:
-            for base in range(0, len(tasks), chunk):
-                block = tasks[base : base + chunk]
-                results = list(pool.map(check_sumset, block))
-                # consume in canonical order so the report matches a
-                # sequential run exactly, including the checked count
-                for sc in results:
-                    done += 1
-                    if sc.outcome == "not-realizable":
-                        failed = sc
-                        break
-                    if sc.outcome == "inconclusive":
-                        inconclusive.append(sc)
-                if failed is not None:
-                    break
+    for s in tasks:
+        sc = check_sumset(s)
+        done += 1
+        if sc.outcome == "not-realizable":
+            failed = sc
+            break
+        if sc.outcome == "inconclusive":
+            inconclusive.append(sc)
 
     if failed is not None:
         verdict = "NOT-CLOSED"

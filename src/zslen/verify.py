@@ -20,7 +20,9 @@ from .lsystem import (
     check_additively_closed,
     decide_length_set,
     enumerate_system,
+    is_basis_plus_sum,
     sumset,
+    walk_zero_sum_sequences,
 )
 from .sequences import Sequence
 
@@ -176,7 +178,7 @@ def c33_form_member(ls: LengthSet) -> bool:
 # -- scenarios ---------------------------------------------------------------------
 
 
-def _scenario_lemma_3_3(heavy: bool, budget, threads: int) -> Scenario:
+def _scenario_lemma_3_3(heavy: bool, budget) -> Scenario:
     c = _Claims()
     g = parse_group("C2xC4")
     e1, e2 = (1, 0), (0, 1)
@@ -319,7 +321,7 @@ def structural_max_atoms_c55(group: AbelianGroup) -> set[Sequence]:
     return out
 
 
-def _scenario_lemma_3_4_light(heavy: bool, budget, threads: int) -> Scenario:
+def _scenario_lemma_3_4_light(heavy: bool, budget) -> Scenario:
     c = _Claims()
     g = parse_group("C5xC5")
     e1, e2 = (1, 0), (0, 1)
@@ -393,7 +395,7 @@ def _both_direction_system_claims(
     )
 
 
-def _scenario_prop_el2_r2(heavy: bool, budget, threads: int) -> Scenario:
+def _scenario_prop_el2_r2(heavy: bool, budget) -> Scenario:
     c = _Claims()
     g = AbelianGroup([2, 2])
     instances = [
@@ -408,7 +410,7 @@ def _scenario_prop_el2_r2(heavy: bool, budget, threads: int) -> Scenario:
     return c.done("prop-el2-r2", g)
 
 
-def _scenario_prop_el2_r3(heavy: bool, budget, threads: int) -> Scenario:
+def _scenario_prop_el2_r3(heavy: bool, budget) -> Scenario:
     c = _Claims()
     g = AbelianGroup([2, 2, 2])
     instances = []
@@ -468,7 +470,7 @@ def _lem_length_claims(r: int, budget) -> Scenario:
     return c.done(f"lem-length-r{r}", gad.group)
 
 
-def _scenario_lemma_3_5(heavy: bool, budget, threads: int) -> Scenario:
+def _scenario_lemma_3_5(heavy: bool, budget) -> Scenario:
     c = _Claims()
     rng = random.Random(20260811)
     for r in (3, 4, 5):
@@ -535,50 +537,26 @@ def _scenario_lemma_3_5(heavy: bool, budget, threads: int) -> Scenario:
     return c.done("lemma-3.5", None)
 
 
-def _scenario_lemma_3_5_2(heavy: bool, budget, threads: int) -> Scenario:
-    from .lsystem import is_basis_plus_sum
-
+def _scenario_lemma_3_5_2(heavy: bool, budget) -> Scenario:
     c = _Claims()
     for r, bound in ((3, 10), (4, 10)):
         g = AbelianGroup([2] * r)
-        aset = atom_set_for(g)
-        size = g.order()
-        add = g.add_table()
-        sup = list(range(size))
         mismatches: list[str] = []
-        counts = [0] * size
-        from .factorize import length_mask
-        from .budget import Budget
 
-        bud = Budget(None)
-
-        def visit():
-            mask = length_mask(aset, tuple(counts), bud)
-            ls = LengthSet.from_mask(mask)
-            deltas = ls.delta()
+        def check(mask, counts):
+            deltas = LengthSet.from_mask(mask).delta()
             if not deltas:
                 return  # the equivalence is stated for A with a nonempty gap set
             has_gap = (r - 1) in deltas
-            supp = [g.element(i) for i in range(size) if counts[i] and i != 0]
-            shape = is_basis_plus_sum(g, supp)
-            if has_gap != shape:
+            supp = [g.element(i) for i, m in enumerate(counts) if m and i != 0]
+            if has_gap != is_basis_plus_sum(g, supp):
                 mismatches.append(
                     str(Sequence._from_index_pairs(
                         g, tuple((i, m) for i, m in enumerate(counts) if m)
                     ))
                 )
 
-        def rec(pos, depth, sig):
-            if sig == 0:
-                visit()
-            if depth == bound:
-                return
-            for p in range(pos, size):
-                counts[p] += 1
-                rec(p, depth + 1, add[sig * size + p])
-                counts[p] -= 1
-
-        rec(0, 0, 0)
+        walk_zero_sum_sequences(atom_set_for(g), bound, None, check)
         c.check(
             f"over rank {r}, a gap of {r - 1} occurs in L(A) exactly when the "
             f"nonzero support is a basis plus its sum (all |A| <= {bound})",
@@ -631,7 +609,7 @@ def _minfact_split_violations(r: int) -> list[str]:
     return bad
 
 
-def _scenario_prop_3_8_r2(heavy: bool, budget, threads: int) -> Scenario:
+def _scenario_prop_3_8_r2(heavy: bool, budget) -> Scenario:
     c = _Claims()
     g = parse_group("C3xC3")
     e1, e2 = (1, 0), (0, 1)
@@ -710,7 +688,7 @@ def _scenario_prop_3_8_r2(heavy: bool, budget, threads: int) -> Scenario:
     return c.done("prop-3.8-r2", g)
 
 
-def _scenario_prop_3_9(heavy: bool, budget, threads: int) -> Scenario:
+def _scenario_prop_3_9(heavy: bool, budget) -> Scenario:
     c = _Claims()
     for spec in ("C2xC4", "C2xC6", "C4xC4"):
         g = parse_group(spec)
@@ -744,11 +722,11 @@ THEOREM_TABLE = (
 )
 
 
-def _scenario_theorem_table(heavy: bool, budget, threads: int) -> Scenario:
+def _scenario_theorem_table(heavy: bool, budget) -> Scenario:
     c = _Claims()
     for spec, expected in THEOREM_TABLE:
         g = parse_group(spec)
-        report = check_additively_closed(g, bound=12, budget=budget, threads=threads)
+        report = check_additively_closed(g, bound=12, budget=budget)
         c.check(
             f"additive closure verdict for {spec} at bound 12",
             f"theorem-table/{spec}",
@@ -780,7 +758,6 @@ def _scenario_theorem_table(heavy: bool, budget, threads: int) -> Scenario:
             g,
             bound=8,
             budget=budget,
-            threads=threads,
             symmetry=True,
             extra_sets=((l_left, left), (l_right, right)),
             priority_pairs=((l_left, l_right),),
@@ -799,8 +776,8 @@ SCENARIOS = {
     "lemma-3.4-light": _scenario_lemma_3_4_light,
     "prop-el2-r2": _scenario_prop_el2_r2,
     "prop-el2-r3": _scenario_prop_el2_r3,
-    "lem-length-r4": lambda heavy, budget, threads: _lem_length_claims(4, budget),
-    "lem-length-r5": lambda heavy, budget, threads: _lem_length_claims(5, budget),
+    "lem-length-r4": lambda heavy, budget: _lem_length_claims(4, budget),
+    "lem-length-r5": lambda heavy, budget: _lem_length_claims(5, budget),
     "lemma-3.5": _scenario_lemma_3_5,
     "lemma-3.5_2": _scenario_lemma_3_5_2,
     "prop-3.8-r2": _scenario_prop_3_8_r2,
@@ -813,16 +790,14 @@ def scenario_ids() -> tuple[str, ...]:
     return tuple(SCENARIOS)
 
 
-def run_scenario(
-    scenario_id: str, heavy: bool = False, budget=None, threads: int = 1
-) -> Scenario:
+def run_scenario(scenario_id: str, heavy: bool = False, budget=None) -> Scenario:
     fn = SCENARIOS.get(scenario_id)
     if fn is None:
         raise ValueError(
             f"unknown scenario {scenario_id!r}; known: {', '.join(SCENARIOS)}"
         )
-    return fn(heavy, budget, threads)
+    return fn(heavy, budget)
 
 
-def run_all(heavy: bool = False, budget=None, threads: int = 1) -> list[Scenario]:
-    return [run_scenario(sid, heavy, budget, threads) for sid in SCENARIOS]
+def run_all(heavy: bool = False, budget=None) -> list[Scenario]:
+    return [run_scenario(sid, heavy, budget) for sid in SCENARIOS]

@@ -168,7 +168,7 @@ def test_length_one_atoms_are_exactly_zero():
 
 
 def test_symmetry_flag_gives_identical_results():
-    for spec in ("C2xC4", "C3xC3", "C2xC2xC2", "C5"):
+    for spec in ("C2xC4", "C3xC3", "C2xC2xC2", "C5", "C2xC6", "C2xC2xC4"):
         g = parse_group(spec)
         plain = enumerate_atoms(g)
         reduced = enumerate_atoms(g, symmetry=True)

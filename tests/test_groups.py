@@ -121,9 +121,27 @@ def test_group_axioms_on_random_triples():
             assert g.add(g.add(a, b), c) == g.add(a, g.add(b, c))
 
 
+def _groups_up_to(order):
+    """Every abelian group of order <= ``order``, as invariant factors."""
+
+    def chains(n, base):
+        # chains base | n_1 | n_2 | ... of factors >= 2 with product n
+        if n == 1:
+            yield ()
+        for first in range(2, n + 1):
+            if n % first == 0 and first % base == 0:
+                for rest in chains(n // first, first):
+                    yield (first,) + rest
+
+    return [AbelianGroup(ns) for n in range(1, order + 1) for ns in chains(n, 1)]
+
+
 def test_automorphism_generators_generate_the_full_group():
-    for spec in ("C2xC2", "C3", "C2xC4", "C2xC2xC2", "C3xC3"):
-        g = parse_group(spec)
+    # every group delta_star_bounded accepts: its orbits come from the
+    # generators
+    groups = _groups_up_to(16)
+    assert len(groups) == 25
+    for g in groups:
         full = set(g.automorphisms())
         gens = g.automorphism_generators()
         assert set(gens) <= full

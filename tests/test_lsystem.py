@@ -1,8 +1,11 @@
 """Length-system operations: sumsets, enumeration, the oracle, rho,
 distance-set estimates, AAMP recognition, closure checking."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -150,6 +153,10 @@ def test_rho_values():
     assert rho_k(g24, 4) == 10
     values = [rho_k(g33, k) for k in range(1, 5)]
     assert values == sorted(values)
+    # the orbit-reduced walk against its plain twin
+    for k in range(2, 5):
+        assert rho_k(g24, k, symmetry=True) == rho_k(g24, k)
+        assert rho_k(g33, k, symmetry=True) == values[k - 1]
     with pytest.raises(ValueError):
         rho_k(parse_group("C2"), 2)
 
@@ -188,6 +195,28 @@ def test_delta_star_estimates():
     assert report.max_estimate() == max(g.exponent() - 2, g.rank() - 1) == 2
     report33 = delta_star_bounded(parse_group("C3xC3"), bound=10)
     assert report33.values() == (1,)
+
+
+def test_delta_star_representatives_match_brute_force():
+    # one support subset per automorphism orbit, the least image under the
+    # whole automorphism group, as in a search without generator orbits
+    bound = 6
+    for spec in ("C2xC4", "C3xC3", "C2xC2xC2"):
+        g = parse_group(spec)
+        autos = g.automorphisms()
+        nonzero = range(1, g.order())
+        reps = sorted({
+            min(tuple(sorted(perm[i] for i in subset)) for perm in autos)
+            for size in range(1, g.order())
+            for subset in itertools.combinations(nonzero, size)
+        })
+        expected = []
+        for subset in reps:
+            support = tuple(g.element(i) for i in subset)
+            deltas = delta_bounded(g, support, bound)
+            if deltas:
+                expected.append((support, reduce(math.gcd, deltas)))
+        assert delta_star_bounded(g, bound).entries == tuple(expected), spec
 
 
 def test_min_delta_support():

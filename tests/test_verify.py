@@ -1,7 +1,10 @@
 """Scenario runner surface and the elementary 2-group gadget algebra."""
 
+import inspect
+
 import pytest
 
+import zslen
 from zslen.groups import AbelianGroup
 from zslen.factorize import LengthSet, length_set
 from zslen.atoms import is_atom
@@ -95,6 +98,13 @@ def test_unknown_scenario_rejected():
 def test_all_ids_resolve():
     assert "lemma-3.3" in scenario_ids()
     assert "theorem-1.1-table" in scenario_ids()
+    # every public name the package imports is exported, and the reverse
+    public = {
+        name
+        for name, value in vars(zslen).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert public == set(zslen.__all__)
 
 
 @pytest.mark.parametrize("sid", sorted(scenario_ids()))
