@@ -12,7 +12,7 @@ check is still run on every emission as a guard against pruning bugs.
 from __future__ import annotations
 
 from .budget import Budget, as_budget
-from .groups import AbelianGroup
+from .groups import AbelianGroup, _factorint
 from .sequences import Sequence
 
 
@@ -39,7 +39,6 @@ class AtomSet:
             i: tuple(ks) for i, ks in by_elem.items()
         }
         self._length_memo: dict = {}
-        self._seq_cache: dict = {}
 
     @property
     def davenport(self) -> int:
@@ -211,7 +210,7 @@ def davenport(group: AbelianGroup, support=None) -> int:
     if support is None and group.rank() > 0:
         ns = group.invariant_factors
         lower = 1 + sum(n - 1 for n in ns)
-        primes = {p for n in ns for p in _prime_divisors(n)}
+        primes = {p for n in ns for p in _factorint(n)}
         if len(primes) == 1 or group.rank() <= 2:
             if d != lower:
                 raise RuntimeError(
@@ -224,20 +223,6 @@ def davenport(group: AbelianGroup, support=None) -> int:
                 f"lower bound {lower} (got {d})"
             )
     return d
-
-
-def _prime_divisors(n: int) -> set[int]:
-    out = set()
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.add(n)
-    return out
 
 
 def atoms_of_max_length(group: AbelianGroup, support=None) -> list[Sequence]:

@@ -17,13 +17,14 @@ from dataclasses import dataclass
 from .budget import (
     DEFAULT_BUDGET,
     DEFAULT_FACTORIZATION_CAP,
+    Budget,
     BudgetExceededError,
     CapExceededError,
 )
 from .atoms import davenport, enumerate_atoms
 from .factorize import (
     LengthSet,
-    catenary_degree,
+    catenary_of_parts,
     factorizations,
     length_set,
     parse_length_set,
@@ -55,7 +56,6 @@ class Config:
     budget: int = DEFAULT_BUDGET
     factorization_cap: int = DEFAULT_FACTORIZATION_CAP
     threads: int = 0  # accepted for compatibility; has no effect
-    output: str = "text"
 
     def __post_init__(self):
         # --threads 0 meant machine parallelism, so 0 stays accepted
@@ -80,7 +80,6 @@ def _config(args) -> Config:
         budget=budget,
         factorization_cap=args.cap,
         threads=args.threads if args.threads is not None else 0,
-        output="json" if args.json else "text",
     )
 
 
@@ -183,8 +182,9 @@ def cmd_catenary(args) -> int:
     cfg = _config(args)
     group = _group(args)
     seq = _seq(args, group)
-    zs = factorizations(seq, cap=cfg.factorization_cap, budget=cfg.budget)
-    cat = catenary_degree(seq, cap=cfg.factorization_cap, budget=cfg.budget)
+    bud = Budget(cfg.budget)
+    zs = factorizations(seq, cap=cfg.factorization_cap, budget=bud)
+    cat = catenary_of_parts([z.parts for z in zs], bud)
     ls = LengthSet(len(z) for z in zs)
     payload = {
         "seq": str(seq),
@@ -343,6 +343,7 @@ def cmd_delta(args) -> int:
 
 
 def cmd_aamp(args) -> int:
+    _config(args)  # validates --budget, --cap and --threads like every subcommand
     target = parse_length_set(args.set)
     if args.min_bound:
         m = minimal_aamp_bound(target, args.d)
@@ -514,20 +515,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--M", type=int, default=0, help="fringe bound")
     p.add_argument("--min-bound", action="store_true",
                    help="report the minimal fringe bound instead")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--cap", type=int, default=DEFAULT_FACTORIZATION_CAP)
+    common(p, group=False)
     p.set_defaults(fn=cmd_aamp)
 
     p = sub.add_parser("verify", help="run named verification scenarios")
     p.add_argument("--scenario", default="all",
                    help="scenario id or 'all'; known: " + ", ".join(scenario_ids()))
     p.add_argument("--heavy", action="store_true", help="include heavy claims")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--cap", type=int, default=DEFAULT_FACTORIZATION_CAP)
+    common(p, group=False)
     p.set_defaults(fn=cmd_verify)
 
     return parser

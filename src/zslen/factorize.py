@@ -10,8 +10,6 @@ large enumerations reuse each other's subproblems.
 
 from __future__ import annotations
 
-from collections import Counter
-
 from .budget import Budget, CapExceededError, as_budget
 from .atoms import AtomSet, atom_set_for
 from .sequences import Sequence
@@ -361,17 +359,60 @@ def factorizations(
     ]
 
 
+def _distance_sorted(x, y) -> int:
+    """Distance between two factorizations given as non-increasing part
+    tuples: merge them to count the common parts, then take the larger
+    remaining part count."""
+    i = j = common = 0
+    nx, ny = len(x), len(y)
+    while i < nx and j < ny:
+        a, b = x[i], y[j]
+        if a == b:
+            common += 1
+            i += 1
+            j += 1
+        elif b < a:
+            i += 1
+        else:
+            j += 1
+    return max(nx, ny) - common
+
+
 def distance(z: Factorization, zp: Factorization) -> int:
     """Distance between two factorizations of the same sequence: cancel the
     common part multiset, then take the larger remaining part count."""
     if z.product != zp.product:
         raise ValueError("factorizations of different sequences")
-    c1 = Counter(z.parts)
-    c2 = Counter(zp.parts)
-    common = c1 & c2
-    rest1 = sum((c1 - common).values())
-    rest2 = sum((c2 - common).values())
-    return max(rest1, rest2)
+    return _distance_sorted(z.parts, zp.parts)
+
+
+def catenary_of_parts(zs, budget=None) -> int:
+    """Catenary degree of the factorization set ``zs``, given as distinct
+    non-increasing part tuples (atom indices or ``Factorization.parts``).
+
+    Dense Prim pass over the complete distance graph: keep each remaining
+    factorization's distance to the tree, add the closest one, relax the
+    others against it.  The largest distance added is the bottleneck of a
+    minimum spanning tree, which is the catenary degree.  Distances are
+    computed on demand, one budget node each, so memory stays O(n).
+    """
+    bud = as_budget(budget)
+    if len(zs) <= 1:
+        return 0
+    last, rest = zs[0], list(zs[1:])
+    best = [len(last) + len(z) for z in rest]  # above every distance
+    answer = 0
+    while rest:
+        for i, z in enumerate(rest):
+            bud.spend()
+            d = _distance_sorted(last, z)
+            if d < best[i]:
+                best[i] = d
+        k = min(range(len(rest)), key=best.__getitem__)
+        answer = max(answer, best[k])
+        last = rest.pop(k)
+        best.pop(k)
+    return answer
 
 
 def catenary_degree(
@@ -383,43 +424,12 @@ def catenary_degree(
     """Smallest N such that any two factorizations of B are linked by a
     chain with successive distances at most N.
 
-    Materializes Z(B) (subject to ``cap``), then finds the minimax edge
-    threshold on the complete distance graph by binary searching the sorted
-    distinct weights with a union-find connectivity test.
+    Enumerates Z(B) as atom-index tuples (subject to ``cap``) and runs
+    ``catenary_of_parts`` over them; one budget covers the enumeration and
+    the distances.
     """
-    zs = factorizations(b, atoms, cap=cap, budget=budget)
-    n = len(zs)
-    if n <= 1:
-        return 0
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            edges.append((distance(zs[i], zs[j]), i, j))
-    weights = sorted({w for w, _, _ in edges})
-
-    def connects(threshold: int) -> bool:
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        comps = n
-        for w, i, j in edges:
-            if w <= threshold:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-                    comps -= 1
-        return comps == 1
-
-    lo, hi = 0, len(weights) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if connects(weights[mid]):
-            hi = mid
-        else:
-            lo = mid + 1
-    return weights[lo]
+    _require_zero_sum(b)
+    aset = _resolve_atoms(b, atoms)
+    bud = as_budget(budget)
+    zs = factorization_index_lists(aset, b.counts(), cap, bud)
+    return catenary_of_parts(zs, bud)

@@ -127,6 +127,32 @@ def test_usage_errors(capsys):
     assert run_cli(capsys, "verify", "--scenario", "missing")[0] == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("aamp", "--set", "2,5,8,9", "--d", "3"),
+        ("verify", "--scenario", "lemma-3.3"),
+    ],
+)
+@pytest.mark.parametrize(
+    "limit", [("--budget", "0"), ("--cap", "0"), ("--threads", "-1")]
+)
+def test_limits_validated_for_aamp_and_verify(capsys, argv, limit):
+    assert run_cli(capsys, *argv, *limit)[0] == 2
+
+
+def test_catenary_budget_shared_by_enumeration_and_distances(capsys):
+    # Z(B) takes 7,209 nodes to enumerate, its 158 * 157 / 2 distances one each
+    argv = (
+        "catenary", "--group", "C2xC2xC2",
+        "--seq", "(0,0,1)^3 (0,1,0)^4 (0,1,1)^3 (1,0,0)^4 (1,0,1) (1,1,0)^2 (1,1,1)^3",
+    )
+    assert run_cli(capsys, *argv, "--budget", "7210")[0] == 3
+    code, out, _ = run_cli(capsys, *argv, "--budget", str(7_209 + 158 * 157 // 2))
+    assert code == 0
+    assert out == "catenary degree 3 (158 factorizations)\n"
+
+
 def test_budget_exhaustion_exit_code(capsys):
     code, out, _ = run_cli(
         capsys, "decide", "--group", "C3xC3", "--set", "4,6,8,9", "--budget", "20"

@@ -3,10 +3,11 @@
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 
-from zslen.budget import CapExceededError
+from zslen.budget import Budget, BudgetExceededError, CapExceededError
 from zslen.groups import AbelianGroup, parse_group
 from zslen.sequences import Sequence, parse_sequence
 from zslen.atoms import atom_set_for, davenport
@@ -46,6 +47,64 @@ def brute_factorizations(b: Sequence):
 
     rec(0, total, [])
     return results
+
+
+def counter_distance(z, zp):
+    """Reference distance: cancel the common parts with Counter arithmetic."""
+    c1, c2 = Counter(z.parts), Counter(zp.parts)
+    common = c1 & c2
+    return max(sum((c1 - common).values()), sum((c2 - common).values()))
+
+
+def threshold_catenary(zs):
+    """Reference catenary degree: binary search over the sorted distinct
+    pair distances for the least threshold whose edges connect Z(B), with
+    a union-find connectivity test at each step."""
+    n = len(zs)
+    if n <= 1:
+        return 0
+    edges = [
+        (counter_distance(zs[i], zs[j]), i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+    ]
+    weights = sorted({w for w, _, _ in edges})
+
+    def connects(threshold):
+        parent = list(range(n))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        comps = n
+        for w, i, j in edges:
+            if w <= threshold:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[ri] = rj
+                    comps -= 1
+        return comps == 1
+
+    lo, hi = 0, len(weights) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if connects(weights[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return weights[lo]
+
+
+# zero-sum sequences with 115 to 158 factorizations
+LARGE_CATENARY_CASES = [
+    ("C2xC2xC2", "(0,0,1)^3 (0,1,0)^4 (0,1,1)^3 (1,0,0)^4 (1,0,1) (1,1,0)^2 (1,1,1)^3"),
+    ("C2xC2xC2", "(0,0,1)^5 (0,1,0)^3 (0,1,1)^4 (1,0,0)^2 (1,0,1)^5 (1,1,0) (1,1,1)^2"),
+    ("C3xC3", "(0,1)^3 (0,2)^3 (1,0) (1,1) (1,2)^2 (2,1)^4 (2,2)^3"),
+    ("C3xC3", "(0,1)^3 (0,2) (1,0)^3 (1,1)^2 (1,2) (2,1)^3 (2,2)^3"),
+]
 
 
 def test_empty_sequence_has_one_empty_factorization():
@@ -144,6 +203,34 @@ def test_catenary_degree_bounds():
     c = catenary_degree(b)
     deltas = ls.delta()
     assert 2 + max(deltas) <= c <= ls.max
+
+
+@pytest.mark.parametrize("spec,text", LARGE_CATENARY_CASES)
+def test_distance_matches_counter_definition(spec, text):
+    zs = factorizations(parse_sequence(parse_group(spec), text))
+    assert 115 <= len(zs) <= 158
+    for z1, z2 in itertools.combinations(zs, 2):
+        assert distance(z1, z2) == counter_distance(z1, z2)
+
+
+@pytest.mark.parametrize("spec,text", LARGE_CATENARY_CASES)
+def test_catenary_degree_matches_threshold_search(spec, text):
+    b = parse_sequence(parse_group(spec), text)
+    assert catenary_degree(b) == threshold_catenary(factorizations(b))
+
+
+def test_catenary_budget_covers_distance_pairs():
+    spec, text = LARGE_CATENARY_CASES[0]
+    b = parse_sequence(parse_group(spec), text)
+    bud = Budget(None)
+    assert len(factorizations(b, budget=bud)) == 158
+    assert bud.used == 7_209
+    # one node left after the enumeration: the distances must spend it
+    with pytest.raises(BudgetExceededError):
+        catenary_degree(b, budget=7_210)
+    bud = Budget(None)
+    assert catenary_degree(b, budget=bud) == 3
+    assert bud.used == 7_209 + 158 * 157 // 2
 
 
 def test_delta_of_set():
