@@ -39,6 +39,7 @@ class AtomSet:
             i: tuple(ks) for i, ks in by_elem.items()
         }
         self._length_memo: dict = {}
+        self._orbit_flags = None  # filled by lsystem._orbit_minimal_flags
 
     @property
     def davenport(self) -> int:
@@ -142,9 +143,10 @@ def enumerate_atoms(
 
     ``max_len`` caps the searched length; by default the cap is |G|, which
     is always enough since the Davenport constant is at most the group
-    order.  ``symmetry`` turns on automorphism-orbit pruning on the first
-    search level (full-support runs only); the result is identical with it
-    on or off.
+    order.  Over the full group the search starts only from orbit-minimal
+    elements and closes the result under the automorphism group; every
+    atom has an image whose least element is orbit-minimal, so nothing is
+    lost.  ``symmetry`` is accepted for compatibility and has no effect.
     """
     bud = as_budget(budget)
     if support is None:
@@ -157,12 +159,10 @@ def enumerate_atoms(
     full_support = len(sup_indices) == group.order()
 
     first_positions = None
-    if symmetry and full_support and nonzero:
-        orbit_min = []
-        for p, x in enumerate(nonzero):
-            if min(group.orbit_of_tuple((x,)))[0] == x:
-                orbit_min.append(p)
-        first_positions = orbit_min
+    if full_support and nonzero:
+        first_positions = [
+            p for p, x in enumerate(nonzero) if min(group.orbit_of_tuple((x,)))[0] == x
+        ]
 
     raw = _atom_index_lists(group, nonzero, cap, bud, first_positions)
 

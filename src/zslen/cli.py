@@ -26,6 +26,7 @@ from .factorize import (
     LengthSet,
     catenary_of_parts,
     factorizations,
+    index_factorizations,
     length_set,
     parse_length_set,
 )
@@ -111,7 +112,6 @@ def cmd_atoms(args) -> int:
         group,
         support,
         max_len=args.max_len,
-        symmetry=args.symmetry,
         budget=cfg.budget,
     )
     payload = {
@@ -183,8 +183,8 @@ def cmd_catenary(args) -> int:
     group = _group(args)
     seq = _seq(args, group)
     bud = Budget(cfg.budget)
-    zs = factorizations(seq, cap=cfg.factorization_cap, budget=bud)
-    cat = catenary_of_parts([z.parts for z in zs], bud)
+    _, zs = index_factorizations(seq, cap=cfg.factorization_cap, budget=bud)
+    cat = catenary_of_parts(zs, bud)
     ls = LengthSet(len(z) for z in zs)
     payload = {
         "seq": str(seq),
@@ -224,7 +224,7 @@ def cmd_decide(args) -> int:
     cfg = _config(args)
     group = _group(args)
     target = parse_length_set(args.set)
-    res = decide_length_set(group, target, cfg.budget, symmetry=args.symmetry)
+    res = decide_length_set(group, target, cfg.budget)
     verdict = {True: "realizable", False: "not realizable", None: "inconclusive"}[
         res.realizable
     ]
@@ -248,12 +248,7 @@ def cmd_decide(args) -> int:
 def cmd_closed(args) -> int:
     cfg = _config(args)
     group = _group(args)
-    report = check_additively_closed(
-        group,
-        bound=args.bound,
-        budget=cfg.budget,
-        symmetry=args.symmetry,
-    )
+    report = check_additively_closed(group, bound=args.bound, budget=cfg.budget)
     payload = {
         "group": str(group),
         "bound": report.bound,
@@ -294,7 +289,7 @@ def cmd_closed(args) -> int:
 def cmd_rho(args) -> int:
     cfg = _config(args)
     group = _group(args)
-    value = rho_k(group, args.k, cfg.budget, symmetry=args.symmetry)
+    value = rho_k(group, args.k, cfg.budget)
     payload = {"group": str(group), "k": args.k, "rho": value}
     _emit(args, payload, [str(value)])
     return EXIT_OK
@@ -446,11 +441,15 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cap", type=int, default=DEFAULT_FACTORIZATION_CAP,
                        help="factorization materialization cap")
 
+    def symmetry(p):
+        p.add_argument("--symmetry", action="store_true",
+                       help="accepted for compatibility; has no effect")
+
     p = sub.add_parser("atoms", help="enumerate minimal zero-sum sequences")
     common(p)
     p.add_argument("--support", default=None, help="support elements, e.g. '(0,1) (1,0)'")
     p.add_argument("--max-len", type=int, default=None)
-    p.add_argument("--symmetry", action="store_true", help="orbit-reduced search")
+    symmetry(p)
     p.set_defaults(fn=cmd_atoms)
 
     p = sub.add_parser("davenport", help="Davenport constant")
@@ -484,7 +483,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decide", help="exact realizability of a length set")
     common(p)
     p.add_argument("--set", required=True, help="length set, e.g. '2,4,5' or '{2,4,5}'")
-    p.add_argument("--symmetry", action="store_true")
+    symmetry(p)
     p.add_argument("--expect", choices=("realizable", "not-realizable"), default=None,
                    help="exit 1 unless the verdict matches")
     p.set_defaults(fn=cmd_decide)
@@ -492,13 +491,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("closed", help="additive closure check of the length system")
     common(p)
     p.add_argument("--bound", type=int, default=12)
-    p.add_argument("--symmetry", action="store_true")
+    symmetry(p)
     p.set_defaults(fn=cmd_closed)
 
     p = sub.add_parser("rho", help="elasticity-style invariant rho_k")
     common(p)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--symmetry", action="store_true")
+    symmetry(p)
     p.set_defaults(fn=cmd_rho)
 
     p = sub.add_parser("delta", help="bounded distance-set estimates")

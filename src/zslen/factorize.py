@@ -350,13 +350,25 @@ def factorizations(
     so every multiset of parts appears once.  ``cap`` bounds the number of
     factorizations materialized (CapExceededError beyond it).
     """
-    _require_zero_sum(b)
-    aset = _resolve_atoms(b, atoms)
-    results = factorization_index_lists(aset, b.counts(), cap, as_budget(budget))
+    aset, results = index_factorizations(b, atoms, cap, budget)
     return [
         Factorization(tuple(aset.atoms[i] for i in chosen), b)
         for chosen in results
     ]
+
+
+def index_factorizations(
+    b: Sequence,
+    atoms: AtomSet | None = None,
+    cap: int | None = None,
+    budget=None,
+) -> tuple[AtomSet, list[tuple[int, ...]]]:
+    """The atom set of B (``atoms``, or the cached one over its support)
+    and Z(B) as sorted non-increasing tuples of indices into it, without
+    building ``Factorization`` objects."""
+    _require_zero_sum(b)
+    aset = _resolve_atoms(b, atoms)
+    return aset, factorization_index_lists(aset, b.counts(), cap, as_budget(budget))
 
 
 def _distance_sorted(x, y) -> int:
@@ -428,8 +440,6 @@ def catenary_degree(
     ``catenary_of_parts`` over them; one budget covers the enumeration and
     the distances.
     """
-    _require_zero_sum(b)
-    aset = _resolve_atoms(b, atoms)
     bud = as_budget(budget)
-    zs = factorization_index_lists(aset, b.counts(), cap, bud)
+    _, zs = index_factorizations(b, atoms, cap, bud)
     return catenary_of_parts(zs, bud)

@@ -100,6 +100,7 @@ class AbelianGroup:
         "_neg",
         "_orders",
         "_autos",
+        "_auto_gens",
     )
 
     def __init__(self, invariant_factors=()):
@@ -110,6 +111,7 @@ class AbelianGroup:
         object.__setattr__(self, "_neg", None)
         object.__setattr__(self, "_orders", None)
         object.__setattr__(self, "_autos", None)
+        object.__setattr__(self, "_auto_gens", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("AbelianGroup is immutable")
@@ -201,10 +203,10 @@ class AbelianGroup:
     # index arithmetic, used by enumeration code
 
     def add_index(self, i: int, j: int) -> int:
-        return self._add[i * len(self._elements) + j]
+        return self.add_table()[i * len(self._elements) + j]
 
     def neg_index(self, i: int) -> int:
-        return self._neg[i]
+        return self.neg_table()[i]
 
     def add_table(self):
         if self._elements is None:
@@ -338,8 +340,11 @@ class AbelianGroup:
         Swaps of coordinates with equal order, unit dilations of single
         coordinates, and the two transvection families compatible with the
         divisibility chain.  Orbit computations only need generators, so
-        this avoids materializing the whole automorphism group.
+        this avoids materializing the whole automorphism group.  Computed
+        once per instance.
         """
+        if self._auto_gens is not None:
+            return self._auto_gens
         if self._elements is None:
             self._build_tables()
         ns = self.invariant_factors
@@ -387,7 +392,9 @@ class AbelianGroup:
                 gens.append(perm_from(shear))
         identity = tuple(range(len(elems)))
         out = sorted({g for g in gens if g != identity})
-        return tuple(out) if out else (identity,)
+        result = tuple(out) if out else (identity,)
+        object.__setattr__(self, "_auto_gens", result)
+        return result
 
     def orbit_of_tuple(self, items: tuple[int, ...]) -> set[tuple[int, ...]]:
         """Orbit of a sorted index tuple under the automorphism group,

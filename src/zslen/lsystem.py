@@ -8,9 +8,10 @@ procedure.  The search walks multisets in a fixed lexicographic order
 (longest atoms first) and prunes a partial product P of k atoms whenever
 (m - k) + L(P) is not contained in L, which is sound because the remaining
 atoms can always be left untouched.  The first witness found in that order
-is the lexicographically minimal one, which keeps output independent of
-the optional automorphism reduction (restricting the leading atom to
-orbit-minimal atoms never discards the minimal witness).
+is the lexicographically minimal one.  The leading atom is restricted to
+atoms that are minimal in their automorphism orbit, which never discards
+that witness: an automorphism lowering its leading atom would map it to a
+witness earlier in the order.
 
 Every potentially explosive operation takes a node budget; exhausting it
 yields a typed inconclusive outcome, never a wrong boolean.
@@ -232,7 +233,9 @@ def _orbit_minimal_flags(aset: AtomSet) -> list[bool]:
     """Whether each atom is minimal in its automorphism orbit under the
     oracle's ordering key (atoms of one orbit have equal length, so the
     key is the sparse encoding).  ``aset`` covers all of G, so every orbit
-    member is one of its atoms."""
+    member is one of its atoms.  Computed once per atom set."""
+    if aset._orbit_flags is not None:
+        return aset._orbit_flags
     sparse = aset.atoms_sparse
     spelled = {
         tuple(i for i, m in sp for _ in range(m)): k for k, sp in enumerate(sparse)
@@ -244,6 +247,7 @@ def _orbit_minimal_flags(aset: AtomSet) -> list[bool]:
             least = min(orbit, key=sparse.__getitem__)
             for j in orbit:
                 flags[j] = j == least
+    aset._orbit_flags = flags
     return flags
 
 
@@ -257,7 +261,8 @@ def decide_length_set(
 
     Enumerates multisets of exactly m = min(target) atoms over the full
     support; see the module docstring for the completeness argument and
-    the determinism contract.
+    the determinism contract.  ``symmetry`` is accepted for compatibility
+    and has no effect: the orbit reduction is always on.
     """
     if not target:
         raise ValueError("cannot decide the empty set")
@@ -280,11 +285,11 @@ def decide_length_set(
     d_max = aset.max_len
     counts = [0] * group.order()
     totals = [0] * (m + 1)  # length of the partial product, by depth
-    flags = _orbit_minimal_flags(aset) if symmetry else None
+    flags = _orbit_minimal_flags(aset)
     witness_counts: list[tuple[int, ...]] = []
 
     def take(p, depth):
-        if depth == 0 and flags is not None and not flags[order[p]]:
+        if depth == 0 and not flags[order[p]]:
             return SKIP
         bud.spend()
         # capacity: the largest reachable max-length after adding the
@@ -337,7 +342,9 @@ def rho_k(
     """Largest max L over sets of lengths containing k.
 
     Any B with k in L(B) is a product of exactly k atoms, so scanning all
-    k-atom products is exhaustive.
+    k-atom products is exhaustive; max L is invariant under automorphisms,
+    so the scan keeps only products led by an orbit-minimal atom.
+    ``symmetry`` is accepted for compatibility and has no effect.
     """
     if k < 1:
         raise ValueError("rho_k needs k >= 1")
@@ -347,11 +354,11 @@ def rho_k(
     aset = atom_set_for(group)
     order = _tau_order(aset)
     counts = [0] * group.order()
-    flags = _orbit_minimal_flags(aset) if symmetry else None
+    flags = _orbit_minimal_flags(aset)
     best = 0
 
     def take(p, depth):
-        if depth == 0 and flags is not None and not flags[order[p]]:
+        if depth == 0 and not flags[order[p]]:
             return SKIP
         bud.spend()
         return None
@@ -641,8 +648,9 @@ def check_additively_closed(
 
     Distinct sumsets are each decided once, in a canonical order (ascending
     minimum, then values, priority pairs first), and every decision owns an
-    independent budget.  The scan is sequential; ``threads`` is accepted
-    for compatibility and has no effect.
+    independent budget.  The scan is sequential, and each decision runs the
+    orbit-reduced oracle; ``threads`` and ``symmetry`` are accepted for
+    compatibility and have no effect.
     """
     budget_limit = None if budget is None else int(budget)
     system = enumerate_system(group, None, "seq_length", bound, budget_limit)
@@ -685,7 +693,7 @@ def check_additively_closed(
         for y in range(1, s.min):
             if LengthSet(v - y for v in s) in known:
                 return SumsetCheck(first[0], first[1], s, "realizable")
-        res = decide_length_set(group, s, budget_limit, symmetry)
+        res = decide_length_set(group, s, budget_limit)
         if res.realizable is True:
             return SumsetCheck(first[0], first[1], s, "realizable")
         if res.realizable is False:

@@ -758,7 +758,6 @@ def _scenario_theorem_table(heavy: bool, budget) -> Scenario:
             g,
             bound=8,
             budget=budget,
-            symmetry=True,
             extra_sets=((l_left, left), (l_right, right)),
             priority_pairs=((l_left, l_right),),
         )

@@ -4,10 +4,11 @@ import itertools
 
 import pytest
 
-from zslen.budget import BudgetExceededError
+from zslen.budget import Budget, BudgetExceededError
 from zslen.groups import AbelianGroup, parse_group
 from zslen.sequences import Sequence, parse_sequence
 from zslen.atoms import (
+    _atom_index_lists,
     atom_set_for,
     atoms_of_max_length,
     davenport,
@@ -168,11 +169,21 @@ def test_length_one_atoms_are_exactly_zero():
 
 
 def test_symmetry_flag_gives_identical_results():
+    # the orbit-reduced search against the unreduced DFS over all of G
     for spec in ("C2xC4", "C3xC3", "C2xC2xC2", "C5", "C2xC6", "C2xC2xC4"):
         g = parse_group(spec)
-        plain = enumerate_atoms(g)
+        plain = _atom_index_lists(
+            g, range(1, g.order()), g.order(), Budget(), first_positions=None
+        )
+        default = enumerate_atoms(g)
         reduced = enumerate_atoms(g, symmetry=True)
-        assert list(plain.atoms) == list(reduced.atoms)
+        assert list(default.atoms) == list(reduced.atoms)
+        spelled = sorted(
+            tuple(i for i, m in a.index_pairs() for _ in range(m))
+            for a in default.atoms
+            if len(a) > 1
+        )
+        assert spelled == sorted(plain)
 
 
 def test_max_len_cap_restricts_output():

@@ -166,3 +166,21 @@ def test_known_automorphism_group_sizes():
     assert len(parse_group("C2xC2xC2").automorphisms()) == 168
     assert len(parse_group("C2xC4").automorphisms()) == 8
     assert len(parse_group("C3xC3").automorphisms()) == 48
+
+
+def test_index_arithmetic_builds_tables_on_a_fresh_group():
+    g = parse_group("C2xC2xC2")
+    assert g.add_index(1, 1) == 0
+    assert parse_group("C2xC2xC2").neg_index(1) == 1
+    h = parse_group("C3xC3")
+    assert h.neg_index(1) == 2
+    for i in range(h.order()):
+        assert h.add_index(i, h.neg_index(i)) == 0
+
+
+def test_automorphism_generators_computed_once_per_group():
+    g = AbelianGroup([3, 6])
+    gens = g.automorphism_generators()
+    g.orbit_of_tuple((1, 2))
+    g.orbit_of_tuple((3,))
+    assert g.automorphism_generators() is gens

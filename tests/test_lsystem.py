@@ -1,6 +1,7 @@
 """Length-system operations: sumsets, enumeration, the oracle, rho,
 distance-set estimates, AAMP recognition, closure checking."""
 
+import functools
 import itertools
 import math
 import random
@@ -8,11 +9,16 @@ from fractions import Fraction
 from functools import reduce
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from zslen.atoms import atom_set_for, enumerate_atoms
+from zslen.budget import Budget
 from zslen.groups import AbelianGroup, parse_group
 from zslen.sequences import Sequence, parse_sequence
-from zslen.factorize import LengthSet, length_set, parse_length_set
+from zslen.factorize import LengthSet, length_mask, length_set, parse_length_set
 from zslen.lsystem import (
+    _orbit_minimal_flags,
+    _tau_order,
     check_additively_closed,
     decide_length_set,
     delta_bounded,
@@ -143,6 +149,99 @@ def test_decide_symmetry_matches_plain():
         assert plain.witness == reduced.witness
 
 
+# -- brute-force twins of the orbit-reduced oracle and rho_k ---------------------
+
+# the oracle benchmark's targets with min L in {2, 3} over four groups
+ORACLE_TARGETS = {
+    "C2xC4": ("2,3", "2,4", "2,5", "2,3,4", "2,3,4,5", "3,5", "3,6", "3,7", "3,4,5,6,7"),
+    "C2xC2xC2": ("2,3", "2,4", "2,3,4", "3,4", "3,6", "3,4,5,6"),
+    "C3xC3": ("2,3", "2,4", "2,5", "2,3,4,5", "3,4", "3,5", "3,6", "3,7", "3,4,5,6,7"),
+    "C7": ("2,4", "2,5", "2,3,4,5", "2,3,4,5,6", "3,6", "3,9", "3,4,5,6,7,8,9"),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def brute_products(spec, m):
+    """Every product of m atoms over all of G as (L mask, multiplicity
+    vector), in the oracle's order: multisets of ``_tau_order`` positions,
+    lexicographically, with no pruning and no orbit reduction."""
+    group = parse_group(spec)
+    aset = atom_set_for(group)
+    bud = Budget()
+    out = []
+    for combo in itertools.combinations_with_replacement(_tau_order(aset), m):
+        counts = [0] * group.order()
+        for k in combo:
+            for i, c in aset.atoms_sparse[k]:
+                counts[i] += c
+        counts = tuple(counts)
+        out.append((length_mask(aset, counts, bud), counts))
+    return out
+
+
+def brute_decide(spec, target):
+    """(verdict, witness): the first product of min(target) atoms whose set
+    of lengths is the target."""
+    for mask, counts in brute_products(spec, target.min):
+        if mask == target.mask:
+            pairs = tuple((i, c) for i, c in enumerate(counts) if c)
+            return True, Sequence._from_index_pairs(parse_group(spec), pairs)
+    return False, None
+
+
+@pytest.mark.parametrize("spec", sorted(ORACLE_TARGETS))
+def test_decide_matches_brute_force_on_oracle_menu(spec):
+    group = parse_group(spec)
+    for literal in ORACLE_TARGETS[spec]:
+        target = parse_length_set(literal)
+        res = decide_length_set(group, target)
+        assert (res.realizable, res.witness) == brute_decide(spec, target), literal
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    spec=st.sampled_from(sorted(ORACLE_TARGETS)),
+    m=st.integers(2, 3),
+    gaps=st.sets(st.integers(1, 8), min_size=1, max_size=4),
+)
+def test_decide_matches_brute_force_property(spec, m, gaps):
+    target = LengthSet([m] + [m + x for x in gaps])
+    res = decide_length_set(parse_group(spec), target)
+    assert (res.realizable, res.witness) == brute_decide(spec, target)
+
+
+def test_rho_k_matches_brute_force():
+    for spec in ("C2xC4", "C3xC3"):
+        for k in (2, 3):
+            brute = max(mask.bit_length() - 1 for mask, _ in brute_products(spec, k))
+            assert rho_k(parse_group(spec), k) == brute
+
+
+def test_orbit_flags_computed_once_per_atom_set(monkeypatch):
+    group = parse_group("C3xC3")
+    aset = atom_set_for(group)
+    flags = _orbit_minimal_flags(aset)
+    calls = []
+    orbit_of_tuple = AbelianGroup.orbit_of_tuple
+
+    def counted(self, items):
+        calls.append(items)
+        return orbit_of_tuple(self, items)
+
+    monkeypatch.setattr(AbelianGroup, "orbit_of_tuple", counted)
+    assert _orbit_minimal_flags(aset) is flags
+    decide_length_set(group, LengthSet([2, 5]))
+    rho_k(group, 2)
+    assert calls == []
+    # a fresh atom set over a fresh group instance computes them once
+    fresh = enumerate_atoms(AbelianGroup([3, 3]))
+    calls.clear()
+    first = _orbit_minimal_flags(fresh)
+    assert calls and first == flags
+    spent = len(calls)
+    assert _orbit_minimal_flags(fresh) is first and len(calls) == spent
+
+
 def test_rho_values():
     g24 = parse_group("C2xC4")
     g33 = parse_group("C3xC3")
@@ -153,7 +252,7 @@ def test_rho_values():
     assert rho_k(g24, 4) == 10
     values = [rho_k(g33, k) for k in range(1, 5)]
     assert values == sorted(values)
-    # the orbit-reduced walk against its plain twin
+    # symmetry= is accepted and changes nothing
     for k in range(2, 5):
         assert rho_k(g24, k, symmetry=True) == rho_k(g24, k)
         assert rho_k(g33, k, symmetry=True) == values[k - 1]
