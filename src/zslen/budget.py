@@ -12,12 +12,17 @@ DEFAULT_FACTORIZATION_CAP = 200_000
 
 
 class BudgetExceededError(RuntimeError):
-    """A search ran out of its node budget before finishing."""
+    """A search ran out of its node budget before finishing.
 
-    def __init__(self, limit: int, used: int):
-        super().__init__(f"budget exhausted: {used} nodes used, limit {limit}")
+    ``phase`` names the search that ran out, when the caller knows it.
+    """
+
+    def __init__(self, limit: int, used: int, phase: str | None = None):
+        where = f" in {phase}" if phase else ""
+        super().__init__(f"budget exhausted{where}: {used} nodes used, limit {limit}")
         self.limit = limit
         self.used = used
+        self.phase = phase
 
 
 class CapExceededError(RuntimeError):

@@ -31,6 +31,7 @@ some minimal distance.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -110,36 +111,68 @@ class LengthSystem:
         return len(self.sets)
 
 
-def walk_zero_sum_sequences(aset: AtomSet, bound: int, budget, hook) -> None:
-    """Call ``hook(mask, counts)`` for every zero-sum sequence B over the
-    support of ``aset`` with |B| <= bound, where ``mask`` is the bitmask
-    of L(B) and ``counts`` the multiplicity tuple of B.
+def zero_sum_length_masks(aset: AtomSet, bound: int, budget):
+    """Yield ``(counts, mask)`` for every zero-sum sequence B over the
+    support of ``aset`` with |B| <= bound, where ``counts`` is the
+    multiplicity tuple of B and ``mask`` the bitmask of L(B).
 
-    Sequences are walked depth first as non-decreasing lists of support
-    indices, the empty sequence first; every node spends one from the
-    budget, and only zero-sum nodes reach the hook.
+    One forward pass over atom products, level by level in |B|: L(empty) =
+    {0}, and every B on level n pushes ``mask << 1`` into B*A for each atom
+    A with |A| <= bound - n.  A factorization of C gives each of its atoms
+    A a push from C/A, so a level is complete before it is read, and only
+    zero-sum sequences are ever reached.  Sequences are packed integers
+    with one whole-byte field per group element, the element of index 0
+    most significant.  A field holds 2 * bound + 1: no count overflows, so
+    B*A is one integer addition, and a count and its complement never
+    meet, which the sort key below relies on.
+
+    One budget node is one (sequence, atom) push, spent a level at a time
+    before the level runs, so the spend depends only on the support and
+    the bound.  The levels are local: the atom set's length memo is not
+    written.  The whole pass runs before the first item is yielded, and
+    the sequences come in the order of a depth-first walk over
+    non-decreasing lists of group indices, the empty sequence first.
     """
     bud = as_budget(budget)
-    group = aset.group
-    sup_idx = [group.index_of(e) for e in aset.support]
-    size = group.order()
-    add = group.add_table()
-    counts = [0] * size
+    size = aset.group.order()
+    code = next(c for c in "BHIQ" if 2 * bound + 1 < 1 << (8 * struct.calcsize(">" + c)))
+    fields = struct.Struct(f">{size}{code}")
+    width = 8 * fields.size // size
+    full = (1 << (width * size)) - 1
+    packed_by_len: dict[int, list[int]] = {}
+    for atom, sp in zip(aset.atoms, aset.atoms_sparse):
+        packed = sum(m << (width * (size - 1 - i)) for i, m in sp)
+        packed_by_len.setdefault(len(atom), []).append(packed)
+    levels: list[dict[int, int]] = [{} for _ in range(bound + 1)]
+    levels[0][0] = 1
+    for n, level in enumerate(levels):
+        pushes = [
+            (levels[n + k], packed)
+            for k, packed in sorted(packed_by_len.items())
+            if k <= bound - n
+        ]
+        bud.spend(len(level) * sum(len(packed) for _, packed in pushes))
+        for key, mask in level.items():
+            shifted = mask << 1
+            for target, packed in pushes:
+                for a in packed:
+                    c = key + a
+                    target[c] = target.get(c, 0) | shifted
 
-    def rec(pos: int, depth: int, sig: int):
-        bud.spend()
-        if sig == 0:
-            key = tuple(counts)
-            hook(length_mask(aset, key, bud), key)
-        if depth == bound:
-            return
-        for p in range(pos, len(sup_idx)):
-            x = sup_idx[p]
-            counts[x] += 1
-            rec(p, depth + 1, add[sig * size + x])
-            counts[x] -= 1
+    def walk_order(key: int) -> int:
+        # Complement every field before the last nonzero one: a walk visits
+        # more copies of a smaller index first, and a prefix before its
+        # extensions.  Counts are <= bound and complements > bound.
+        cut = -(-(key & -key).bit_length() // width) * width
+        return key ^ (full >> cut << cut)
 
-    rec(0, 0, 0)
+    masks: dict[int, int] = {}
+    for level in levels[1:]:
+        masks.update(level)
+        level.clear()
+    yield (0,) * size, 1
+    for key in sorted(masks, key=walk_order):
+        yield fields.unpack(key.to_bytes(fields.size, "big")), masks[key]
 
 
 def enumerate_system(
@@ -151,8 +184,13 @@ def enumerate_system(
 ) -> LengthSystem:
     """All distinct L(B) for B within the bound.
 
-    ``seq_length`` ranges over all zero-sum sequences B with |B| <= bound;
-    ``num_atom_factors`` over products of at most ``bound`` atoms.
+    ``seq_length`` ranges over all zero-sum sequences B with |B| <= bound,
+    through the forward pass of :func:`zero_sum_length_masks` (one budget
+    node per (sequence, atom) push; the length memo is left untouched);
+    ``num_atom_factors`` over products of at most ``bound`` atoms.  Each
+    set keeps its first witness in depth-first order over non-decreasing
+    index lists.  Running out of budget raises
+    :class:`BudgetExceededError` with phase ``enumerate_system``.
     """
     if bound < 0:
         raise ValueError("bound must be >= 0")
@@ -162,18 +200,22 @@ def enumerate_system(
     aset = atom_set_for(group, support)
     found: dict[int, tuple[int, ...]] = {}  # L mask -> first witness counts
 
-    if bound_kind == "seq_length":
-        walk_zero_sum_sequences(aset, bound, bud, found.setdefault)
-    else:
-        counts = [0] * group.order()
+    try:
+        if bound_kind == "seq_length":
+            for key, mask in zero_sum_length_masks(aset, bound, bud):
+                found.setdefault(mask, key)
+        else:
+            counts = [0] * group.order()
 
-        def visit(depth, chosen):
-            bud.spend()
-            key = tuple(counts)
-            found.setdefault(length_mask(aset, key, bud), key)
-            return SKIP if depth == bound else None
+            def visit(depth, chosen):
+                bud.spend()
+                key = tuple(counts)
+                found.setdefault(length_mask(aset, key, bud), key)
+                return SKIP if depth == bound else None
 
-        walk_atom_multisets(aset.atoms_sparse[::-1], counts, visit)
+            walk_atom_multisets(aset.atoms_sparse[::-1], counts, visit)
+    except BudgetExceededError as e:
+        raise BudgetExceededError(e.limit, e.used, phase="enumerate_system") from e
 
     sets = []
     for mask, wit_counts in found.items():

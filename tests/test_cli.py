@@ -160,6 +160,14 @@ def test_budget_exhaustion_exit_code(capsys):
     assert code == 3
 
 
+def test_system_budget_exhaustion_names_the_phase(capsys):
+    code, out, err = run_cli(
+        capsys, "system", "--group", "C2xC4", "--bound", "8", "--budget", "100"
+    )
+    assert code == 3 and out == ""
+    assert err.startswith("error: budget exhausted in enumerate_system:")
+
+
 def test_env_budget_override(capsys, monkeypatch):
     monkeypatch.setenv("ZSLEN_BUDGET", "20")
     code, _, _ = run_cli(capsys, "decide", "--group", "C3xC3", "--set", "4,6,8,9")

@@ -11,8 +11,9 @@ from functools import reduce
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from zslen import atoms
 from zslen.atoms import atom_set_for, enumerate_atoms
-from zslen.budget import Budget
+from zslen.budget import Budget, BudgetExceededError
 from zslen.groups import AbelianGroup, parse_group
 from zslen.sequences import Sequence, parse_sequence
 from zslen.factorize import LengthSet, length_mask, length_set, parse_length_set
@@ -35,6 +36,7 @@ from zslen.lsystem import (
     nfold_system_sumset,
     rho_k,
     sumset,
+    zero_sum_length_masks,
 )
 
 
@@ -89,6 +91,100 @@ def test_system_num_atom_factors_bound():
     # products of at most 3 atoms realize {0}..{3} and the step sets
     assert LengthSet([0]) in system
     assert LengthSet([2, 3]) in system
+
+
+# -- brute-force twin of the forward system pass ----------------------------------
+
+
+def brute_zero_sum_masks(aset, bound):
+    """``(counts, mask)`` for every zero-sum sequence over the support with
+    |B| <= bound: a depth-first walk over every non-decreasing list of
+    support indices, zero-sum or not, with ``length_mask`` at the zero-sum
+    nodes."""
+    group = aset.group
+    sup = [group.index_of(e) for e in aset.support]
+    size = group.order()
+    add = group.add_table()
+    counts = [0] * size
+    bud = Budget()
+    out = []
+
+    def rec(pos, depth, sig):
+        if sig == 0:
+            key = tuple(counts)
+            out.append((key, length_mask(aset, key, bud)))
+        if depth == bound:
+            return
+        for p in range(pos, len(sup)):
+            x = sup[p]
+            counts[x] += 1
+            rec(p, depth + 1, add[sig * size + x])
+            counts[x] -= 1
+
+    rec(0, 0, 0)
+    return out
+
+
+@pytest.mark.parametrize(
+    "spec,bound,support",
+    [
+        ("C5", 10, None),
+        ("C2xC4", 10, None),
+        ("C2xC2xC2", 10, None),
+        ("C3xC3", 10, None),
+        ("C2xC6", 8, None),
+        ("C2", 200, None),  # counts past 127 need two-byte fields
+        ("C2xC2xC2", 10, "(1,0,0) (0,1,0) (0,0,1) (1,1,1)"),
+        ("C2xC4", 9, "(0,0) (0,1) (1,0) (1,3) (0,2)"),
+    ],
+)
+def test_zero_sum_pass_matches_brute_force(spec, bound, support):
+    group = parse_group(spec)
+    elems = None if support is None else parse_sequence(group, support).support()
+    # fresh atom sets: the twin's length memo stays out of the shared cache
+    expected = brute_zero_sum_masks(enumerate_atoms(group, elems), bound)
+    assert list(zero_sum_length_masks(enumerate_atoms(group, elems), bound, None)) == expected
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_zero_sum_pass_matches_brute_force_property(data):
+    spec = data.draw(st.sampled_from(("C3", "C4", "C6", "C2xC2", "C2xC4", "C3xC3")))
+    group = parse_group(spec)
+    subset = data.draw(st.sets(st.integers(0, group.order() - 1), min_size=1))
+    bound = data.draw(st.integers(0, 7))
+    elems = [group.element(i) for i in sorted(subset)]
+    expected = brute_zero_sum_masks(enumerate_atoms(group, elems), bound)
+    assert list(zero_sum_length_masks(enumerate_atoms(group, elems), bound, None)) == expected
+
+
+def test_system_budget_is_one_node_per_push():
+    group = parse_group("C3")
+    bound = 6
+    aset = enumerate_atoms(group)
+    pushes = sum(
+        sum(1 for a in aset.atoms if len(a) <= bound - sum(counts))
+        for counts, _ in brute_zero_sum_masks(aset, bound)
+    )
+    bud = Budget()
+    enumerate_system(group, bound=bound, budget=bud)
+    assert bud.used == pushes
+    assert len(enumerate_system(group, bound=bound, budget=pushes)) == len(
+        enumerate_system(group, bound=bound)
+    )
+    with pytest.raises(BudgetExceededError) as err:
+        enumerate_system(group, bound=bound, budget=pushes - 1)
+    assert err.value.phase == "enumerate_system"
+    assert "enumerate_system" in str(err.value)
+
+
+def test_system_leaves_length_memo_empty(monkeypatch):
+    monkeypatch.setattr(atoms, "_ATOMSET_CACHE", {})
+    group = parse_group("C2xC4")
+    enumerate_system(group, bound=10)
+    enumerate_system(group, parse_sequence(group, "(0,1) (1,0) (1,3)").support(), bound=10)
+    assert len(atoms._ATOMSET_CACHE) == 2
+    assert all(aset._length_memo == {} for aset in atoms._ATOMSET_CACHE.values())
 
 
 def test_decide_examples():
