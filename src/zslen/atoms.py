@@ -1,12 +1,16 @@
 """Minimal zero-sum sequences (atoms) and Davenport constants.
 
+A nonempty zero-sum S is an atom iff S * g^-1 is zero-sum-free for one g
+in supp(S): if S = T * T' with T, T' proper, nonempty and zero-sum, one of
+them holds fewer copies of g than S and so divides S * g^-1.
+
 Enumeration runs a depth-first search over non-decreasing element index
 lists: every node is a zero-sum-free prefix, tracked with a bitmask of the
-sums of its proper nonempty submultisets.  A node emits an atom when the
-negated running sum is a legal closing element and the full prefix sum is
-not attainable by a proper submultiset.  Each atom is reached exactly once,
-by removing one copy of its largest element, and an independent minimality
-check is still run on every emission as a guard against pruning bugs.
+sums of its proper nonempty submultisets.  A node emits prefix * (-sigma)
+whenever -sigma is a legal closing element; removing -sigma leaves the
+zero-sum-free prefix, so by the lemma that is an atom.  Each atom is reached
+once, by removing one copy of its largest element, and ``is_atom`` still
+guards every emission.
 """
 
 from __future__ import annotations
@@ -67,22 +71,13 @@ class AtomSet:
 
 def is_atom(s: Sequence) -> bool:
     """True iff s is nonempty, zero-sum, and has no proper nonempty
-    zero-sum subsequence."""
+    zero-sum subsequence.  By the module's lemma one quotient by the first
+    support element decides it; for 0, (0) * 0^-1 is empty, and 0 * T leaves
+    the zero-sum T."""
     if len(s) == 0 or not s.is_zero_sum():
         return False
-    if len(s) == 1:
-        return True  # the zero element, the only length-1 zero-sum sequence
-    # A proper zero-sum subsequence misses a copy of some support element,
-    # so minimality is equivalent to: s minus one copy of g is zero-sum-free
-    # for every g in the support.
-    group = s.group
-    for i, _ in s.index_pairs():
-        if i == 0:
-            return False  # 0 inside a longer sequence is a proper zero-sum
-        reduced = s.quotient(Sequence._from_index_pairs(group, ((i, 1),)))
-        if not reduced.is_zero_sum_free():
-            return False
-    return True
+    first = Sequence._from_index_pairs(s.group, ((s.index_pairs()[0][0], 1),))
+    return s.quotient(first).is_zero_sum_free()
 
 
 def _atom_index_lists(group, sup_indices, max_len, budget: Budget, first_positions=None):
@@ -101,12 +96,7 @@ def _atom_index_lists(group, sup_indices, max_len, budget: Budget, first_positio
         budget.spend()
         g = neg[full]
         gp = pos_of.get(g)
-        if (
-            gp is not None
-            and gp >= last_pos
-            and len(elems) + 1 <= max_len
-            and not ((proper >> full) & 1)
-        ):
+        if gp is not None and gp >= last_pos and len(elems) + 1 <= max_len:
             found.append(elems + (g,))
         if len(elems) + 2 <= max_len:
             for p in range(last_pos, len(sup)):
@@ -148,6 +138,8 @@ def enumerate_atoms(
     atom has an image whose least element is orbit-minimal, so nothing is
     lost.  ``symmetry`` is accepted for compatibility and has no effect.
     """
+    if max_len is not None and max_len < 1:
+        raise ValueError(f"max_len must be >= 1, got {max_len}")
     bud = as_budget(budget)
     if support is None:
         support_elems = group.elements()
@@ -182,7 +174,7 @@ def enumerate_atoms(
         for i in t:
             counts[i] = counts.get(i, 0) + 1
         seq = Sequence._from_index_pairs(group, tuple(sorted(counts.items())))
-        if is_atom(seq):  # independent guard over the mask-based emission
+        if is_atom(seq):  # guard against pruning bugs; by the lemma it drops nothing
             atoms.append(seq)
     return AtomSet(group, [group.element(i) for i in sup_indices], atoms)
 
@@ -191,11 +183,13 @@ _ATOMSET_CACHE: dict = {}
 
 
 def atom_set_for(group: AbelianGroup, support=None) -> AtomSet:
-    """Cached full enumeration for a (group, support) pair."""
-    if support is None:
-        sup_key = None
-    else:
-        sup_key = tuple(sorted(group.index_of(e) for e in support))
+    """Cached full enumeration for a (group, support) pair; a support that
+    covers all of G shares the group's entry."""
+    sup_key = None
+    if support is not None:
+        sup_key = tuple(sorted({group.index_of(e) for e in support}))
+        if len(sup_key) == group.order():
+            sup_key = None
     key = (group.invariant_factors, sup_key)
     got = _ATOMSET_CACHE.get(key)
     if got is None:

@@ -114,16 +114,19 @@ def cmd_atoms(args) -> int:
         max_len=args.max_len,
         budget=cfg.budget,
     )
+    capped = args.max_len is not None and args.max_len < group.order()
     payload = {
         "group": str(group),
         "support": [format_sequence(Sequence(group, [e])) for e in aset.support],
-        "davenport": aset.max_len,
+        "davenport": None if capped else aset.max_len,
         "atoms": [str(a) for a in aset.atoms],
         "count": len(aset.atoms),
     }
-    lines = [
-        f"group {group}: {len(aset.atoms)} atoms, Davenport constant {aset.max_len}"
-    ] + [f"  {a}" for a in aset.atoms]
+    summary = f"atoms, Davenport constant {aset.max_len}"
+    if capped:  # longer atoms may exist, so max_len is no Davenport constant
+        summary = f"atoms of length <= {args.max_len} (search capped below |G|)"
+    lines = [f"group {group}: {len(aset.atoms)} {summary}"]
+    lines += [f"  {a}" for a in aset.atoms]
     _emit(args, payload, lines)
     return EXIT_OK
 

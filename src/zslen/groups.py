@@ -228,7 +228,7 @@ class AbelianGroup:
         return self._elements[self._add[i * len(self._elements) + j]]
 
     def neg(self, a) -> tuple:
-        return self._elements[self._neg[self.index_of(a)]]
+        return self.elements()[self.neg_table()[self.index_of(a)]]
 
     def element_order(self, a) -> int:
         """Least k >= 1 with k*a = 0."""

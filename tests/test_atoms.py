@@ -3,8 +3,11 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from zslen import atoms
 from zslen.budget import Budget, BudgetExceededError
+from zslen.factorize import length_set
 from zslen.groups import AbelianGroup, parse_group
 from zslen.sequences import Sequence, parse_sequence
 from zslen.atoms import (
@@ -57,6 +60,31 @@ def naive_atoms(group, max_len):
     return sorted(set(out), key=Sequence.sort_key)
 
 
+def brute_is_atom(s):
+    """Minimality checked at every support element: s * g^-1 must be
+    zero-sum-free for each g in supp(s)."""
+    if len(s) == 0 or not s.is_zero_sum():
+        return False
+    if len(s) == 1:
+        return True  # the zero element, the only length-1 zero-sum sequence
+    group = s.group
+    for i, _ in s.index_pairs():
+        if i == 0:
+            return False  # 0 inside a longer sequence is a proper zero-sum
+        reduced = s.quotient(Sequence._from_index_pairs(group, ((i, 1),)))
+        if not reduced.is_zero_sum_free():
+            return False
+    return True
+
+
+# every abelian group of order <= 16, in invariant-factor form
+GROUPS_UP_TO_16 = (
+    "C1", "C2", "C3", "C4", "C2xC2", "C5", "C6", "C7", "C8", "C2xC4",
+    "C2xC2xC2", "C9", "C3xC3", "C10", "C11", "C12", "C2xC6", "C13", "C14",
+    "C15", "C16", "C2xC8", "C4xC4", "C2xC2xC4", "C2xC2xC2xC2",
+)
+
+
 def test_is_atom_examples():
     g = parse_group("C2xC4")
     assert is_atom(Sequence(g, [g.zero()]))
@@ -66,6 +94,50 @@ def test_is_atom_examples():
     assert not is_atom(Sequence.empty(g))
     assert not is_atom(Sequence(g, [(0, 1)]))
     assert not is_atom(Sequence(g, [g.zero(), (0, 1), (0, 3)]))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8",
+     "C2xC2", "C2xC4", "C3xC3", "C2xC2xC2"],
+)
+def test_is_atom_matches_brute_force_on_all_short_sequences(spec):
+    g = parse_group(spec)
+    elems = g.elements()
+    for length in range(8):
+        for combo in itertools.combinations_with_replacement(elems, length):
+            s = Sequence(g, combo)
+            assert is_atom(s) == brute_is_atom(s), s
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_is_atom_matches_brute_force_on_closed_prefixes(data):
+    g = parse_group(data.draw(st.sampled_from(("C4xC4", "C3xC6", "C5xC5"))))
+    prefix = Sequence(g, [g.element(i) for i in data.draw(
+        st.lists(st.integers(0, g.order() - 1), min_size=1, max_size=10)
+    )])
+    s = prefix * Sequence(g, [g.neg(prefix.sigma())])
+    assert is_atom(s) == brute_is_atom(s)
+
+
+@pytest.mark.parametrize("spec", GROUPS_UP_TO_16)
+def test_atom_search_emits_only_atoms(spec):
+    # every DFS prefix is zero-sum-free, so prefix * (-sigma) is an atom and
+    # the is_atom guard in enumerate_atoms never has anything to drop
+    g = parse_group(spec)
+    nonzero = list(range(1, g.order()))
+    for sup in (nonzero[::2], nonzero[: len(nonzero) // 2 + 1]):
+        for t in _atom_index_lists(g, sup, g.order(), Budget()):
+            assert brute_is_atom(Sequence(g, [g.element(i) for i in t])), t
+
+
+def test_full_support_shares_the_group_atom_set(monkeypatch):
+    monkeypatch.setattr(atoms, "_ATOMSET_CACHE", {})
+    g = parse_group("C2xC4")
+    assert atom_set_for(g, g.elements()) is atom_set_for(g)
+    length_set(Sequence(g, g.elements()))  # a zero-sum sequence with full support
+    assert len(atoms._ATOMSET_CACHE) == 1
 
 
 def test_single_generator_support():
@@ -191,6 +263,9 @@ def test_max_len_cap_restricts_output():
     capped = enumerate_atoms(g, max_len=3)
     full = enumerate_atoms(g)
     assert set(capped.atoms) == {a for a in full.atoms if len(a) <= 3}
+    for bad in (0, -1):
+        with pytest.raises(ValueError):
+            enumerate_atoms(g, max_len=bad)
 
 
 def test_budget_exhaustion_raises():

@@ -62,6 +62,28 @@ def test_atoms_json_schema(capsys):
     assert doc["count"] == len(doc["atoms"])
 
 
+def test_atoms_capped_below_order_reports_no_davenport_constant(capsys):
+    argv = ("atoms", "--group", "C5xC5", "--max-len", "2")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[0] == (
+        "group C5xC5: 13 atoms of length <= 2 (search capped below |G|)"
+    )
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    doc = json.loads(out)
+    assert code == 0 and doc["davenport"] is None and doc["count"] == 13
+    # a cap of |G| leaves the search complete
+    code, out, _ = run_cli(capsys, "atoms", "--group", "C3", "--max-len", "3", "--json")
+    assert code == 0 and json.loads(out)["davenport"] == 3
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_atoms_rejects_max_len_below_one(capsys, cap):
+    code, out, err = run_cli(capsys, "atoms", "--group", "C5xC5", "--max-len", cap)
+    assert code == 2 and out == ""
+    assert "max_len must be >= 1" in err
+
+
 def test_factorize_and_catenary_json(capsys):
     code, out, _ = run_cli(
         capsys, "catenary", "--group", "C2xC2", "--seq", "(1,0)^2 (0,1)^2 (1,1)^2",

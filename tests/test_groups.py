@@ -178,6 +178,11 @@ def test_index_arithmetic_builds_tables_on_a_fresh_group():
         assert h.add_index(i, h.neg_index(i)) == 0
 
 
+def test_element_arithmetic_builds_tables_on_a_fresh_group():
+    assert parse_group("C2xC4").neg((1, 1)) == (1, 3)
+    assert parse_group("C3xC3").neg((0, 0)) == (0, 0)
+
+
 def test_automorphism_generators_computed_once_per_group():
     g = AbelianGroup([3, 6])
     gens = g.automorphism_generators()
