@@ -35,15 +35,10 @@ class AtomSet:
         self.max_len = max((len(a) for a in self.atoms), default=0)
         # sparse index-pair views, aligned with self.atoms
         self.atoms_sparse = tuple(a.index_pairs() for a in self.atoms)
-        by_elem: dict[int, list[int]] = {}
-        for k, sp in enumerate(self.atoms_sparse):
-            for i, _ in sp:
-                by_elem.setdefault(i, []).append(k)
-        self.atoms_by_element = {
-            i: tuple(ks) for i, ks in by_elem.items()
-        }
         self._length_memo: dict = {}
         self._orbit_flags = None  # filled by lsystem._orbit_minimal_flags
+        self._divisor_tables = None  # filled by factorize._divisor_tables
+        self._members = None  # frozenset of the atoms, built on first lookup
 
     @property
     def davenport(self) -> int:
@@ -56,7 +51,9 @@ class AtomSet:
         return iter(self.atoms)
 
     def __contains__(self, seq: Sequence) -> bool:
-        return seq in set(self.atoms)
+        if self._members is None:
+            self._members = frozenset(self.atoms)
+        return seq in self._members
 
     def covers(self, seq: Sequence) -> bool:
         sup = set(self.support)

@@ -5,10 +5,15 @@ L(B) is the union of 1 + L(B/A) over all atoms A dividing B, with L(empty)
 = {0}.  Every factorization contributes its length through each of its
 parts, so the unordered recursion is complete; sets are carried as integer
 bitmasks and the memo is shared through the AtomSet instance, which lets
-large enumerations reuse each other's subproblems.
+large enumerations reuse each other's subproblems.  The atoms that divide a
+node are found with bitset ANDs over per-element tables of atom indices;
+the tables are built on the first ``length_mask`` call for an atom set and
+cached on it, so enumerating atoms never pays for them.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 from .budget import Budget, CapExceededError, as_budget
 from .atoms import AtomSet, atom_set_for
@@ -48,7 +53,12 @@ class LengthSet:
         return m
 
     def __contains__(self, v) -> bool:
-        return v in set(self.values)
+        vs = self.values
+        try:
+            i = bisect_left(vs, v)
+        except TypeError:  # not comparable with an int, so not a length
+            return False
+        return i < len(vs) and vs[i] == v
 
     def __iter__(self):
         return iter(self.values)
@@ -171,6 +181,51 @@ def _require_zero_sum(b: Sequence):
         raise ValueError(f"sequence is not zero-sum: {b}")
 
 
+def _divisor_tables(aset: AtomSet):
+    """Bitset tables over atom indices for ``length_mask``, built on the
+    first call for an atom set and cached on it.
+
+    Returns ``(loads, through, fit_rows)``: ``loads[i]`` is the number of
+    atoms through element i, ``through[i]`` the set of those atoms, and
+    ``fit_rows`` holds ``(i, top, fits)`` for each element i that some
+    atom contains, where ``top`` is the largest multiplicity of i in an
+    atom and ``fits[c]``, for c < top, is the set of atoms with at most c
+    copies of i (a count of top or more fits every atom).  Bit k of a set
+    stands for atom k.
+    """
+    if aset._divisor_tables is not None:
+        return aset._divisor_tables
+    n = aset.group.order()
+    nbytes = len(aset.atoms_sparse) // 8 + 1
+    # exact[i][m]: bitmap of the atoms with exactly m copies of i
+    exact: list[dict[int, bytearray]] = [{} for _ in range(n)]
+    for k, sp in enumerate(aset.atoms_sparse):
+        byte, bit = k >> 3, 1 << (k & 7)
+        for i, m in sp:
+            buf = exact[i].get(m)
+            if buf is None:
+                buf = exact[i][m] = bytearray(nbytes)
+            buf[byte] |= bit
+    everything = (1 << len(aset.atoms_sparse)) - 1
+    through = [0] * n
+    fit_rows = []
+    for i, by_mult in enumerate(exact):
+        if not by_mult:
+            continue
+        fits = [0] * max(by_mult)
+        over = 0  # atoms with more than c copies of i
+        for c in range(len(fits) - 1, -1, -1):
+            buf = by_mult.get(c + 1)
+            if buf is not None:
+                over |= int.from_bytes(buf, "little")
+            fits[c] = everything ^ over
+        through[i] = over
+        fit_rows.append((i, len(fits), tuple(fits)))
+    loads = tuple(t.bit_count() for t in through)
+    aset._divisor_tables = (loads, tuple(through), tuple(fit_rows))
+    return aset._divisor_tables
+
+
 def length_mask(aset: AtomSet, counts: tuple[int, ...], budget: Budget) -> int:
     """Bitmask of L(B) for the sequence with the given multiplicity vector.
 
@@ -178,14 +233,18 @@ def length_mask(aset: AtomSet, counts: tuple[int, ...], budget: Budget) -> int:
     the AtomSet so independent callers share subproblems.  At each node
     only atoms through a pivot support element are tried: every
     factorization must cover the pivot, so the union over those atoms is
-    already all of L(B).
+    already all of L(B).  The pivot is the support element through the
+    fewest atoms (the first on ties).  The atoms through it that divide the
+    node are found with bitset ANDs over ``_divisor_tables``, one per
+    element that some atom contains, and their children are built in
+    ascending atom index.
     """
     memo = aset._length_memo
     got = memo.get(counts)
     if got is not None:
         return got
     sparse = aset.atoms_sparse
-    by_elem = aset.atoms_by_element
+    loads, through, fit_rows = _divisor_tables(aset)
     stack = [counts]
     while stack:
         cur = stack[-1]
@@ -196,26 +255,25 @@ def length_mask(aset: AtomSet, counts: tuple[int, ...], budget: Budget) -> int:
         pivot_load = -1
         for i, c in enumerate(cur):
             if c:
-                load = len(by_elem.get(i, ()))
+                load = loads[i]
                 if pivot < 0 or load < pivot_load:
                     pivot, pivot_load = i, load
         if pivot < 0:
             memo[cur] = 1  # L(empty) = {0}
             stack.pop()
             continue
+        fit = through[pivot]
+        for i, top, fits in fit_rows:
+            c = cur[i]
+            if c < top:
+                fit &= fits[c]
         mask = 0
         missing = []
-        for k in by_elem.get(pivot, ()):
-            sp = sparse[k]
-            ok = True
-            for i, m in sp:
-                if cur[i] < m:
-                    ok = False
-                    break
-            if not ok:
-                continue
+        while fit:
+            low = fit & -fit
+            fit ^= low
             child = list(cur)
-            for i, m in sp:
+            for i, m in sparse[low.bit_length() - 1]:
                 child[i] -= m
             child = tuple(child)
             cm = memo.get(child)

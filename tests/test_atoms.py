@@ -233,6 +233,20 @@ def test_atom_set_closed_under_negation():
         assert {-a for a in atom_pool} == atom_pool
 
 
+def test_atom_set_membership():
+    g = parse_group("C3xC6")
+    aset = atom_set_for(g)
+    atom = aset.atoms[100]
+    assert atom in aset
+    assert all(a in aset for a in aset.atoms)
+    assert atom * atom not in aset  # zero-sum, not minimal
+    assert Sequence(g, [(1, 0)]) not in aset  # not zero-sum
+    # the zero atom of C18 has the same index pairs as the zero atom of C3xC6
+    other = Sequence(parse_group("C18"), [(0,)])
+    assert is_atom(other) and other.index_pairs() == aset.atoms[0].index_pairs()
+    assert other not in aset
+
+
 def test_length_one_atoms_are_exactly_zero():
     for spec in ("C4", "C2xC4"):
         aset = atom_set_for(parse_group(spec))

@@ -6,11 +6,12 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zslen.budget import Budget, BudgetExceededError, CapExceededError
 from zslen.groups import AbelianGroup, parse_group
 from zslen.sequences import Sequence, parse_sequence
-from zslen.atoms import atom_set_for, davenport
+from zslen.atoms import AtomSet, atom_set_for, davenport
 from zslen.factorize import (
     Factorization,
     LengthSet,
@@ -18,6 +19,7 @@ from zslen.factorize import (
     delta_of_set,
     distance,
     factorizations,
+    length_mask,
     length_set,
     parse_length_set,
 )
@@ -47,6 +49,65 @@ def brute_factorizations(b: Sequence):
 
     rec(0, total, [])
     return results
+
+
+def per_atom_length_mask(aset, counts, budget):
+    """Reference length kernel: the same recursion, pivot rule, child order,
+    memo and budget spend as ``length_mask``, but it tests every atom
+    through the pivot for divisibility one coordinate at a time."""
+    memo = aset._length_memo
+    got = memo.get(counts)
+    if got is not None:
+        return got
+    sparse = aset.atoms_sparse
+    by_elem: dict[int, list[int]] = {}
+    for k, sp in enumerate(sparse):
+        for i, _ in sp:
+            by_elem.setdefault(i, []).append(k)
+    stack = [counts]
+    while stack:
+        cur = stack[-1]
+        if cur in memo:
+            stack.pop()
+            continue
+        pivot = -1
+        pivot_load = -1
+        for i, c in enumerate(cur):
+            if c:
+                load = len(by_elem.get(i, ()))
+                if pivot < 0 or load < pivot_load:
+                    pivot, pivot_load = i, load
+        if pivot < 0:
+            memo[cur] = 1
+            stack.pop()
+            continue
+        mask = 0
+        missing = []
+        for k in by_elem.get(pivot, ()):
+            sp = sparse[k]
+            if any(cur[i] < m for i, m in sp):
+                continue
+            child = list(cur)
+            for i, m in sp:
+                child[i] -= m
+            child = tuple(child)
+            cm = memo.get(child)
+            if cm is None:
+                missing.append(child)
+            else:
+                mask |= cm << 1
+        if missing:
+            stack.extend(missing)
+        else:
+            memo[cur] = mask
+            budget.spend()
+            stack.pop()
+    return memo[counts]
+
+
+def fresh_copy(aset):
+    """The same atoms in a new AtomSet, with an empty memo and no tables."""
+    return AtomSet(aset.group, aset.support, aset.atoms)
 
 
 def counter_distance(z, zp):
@@ -233,6 +294,16 @@ def test_catenary_budget_covers_distance_pairs():
     assert bud.used == 7_209 + 158 * 157 // 2
 
 
+def test_length_set_membership():
+    ls = LengthSet([2, 4, 5, 9])
+    assert all(v in ls for v in (2, 4, 5, 9))
+    assert not any(v in ls for v in (0, 1, 3, 6, 8, 10, 100))
+    assert -1 not in ls and -4 not in ls
+    assert "4" not in ls and None not in ls
+    assert 0 not in LengthSet([]) and 3 not in LengthSet([])
+    assert 0 in LengthSet([0])
+
+
 def test_delta_of_set():
     assert delta_of_set([2, 4, 5]) == (2, 1)
     assert LengthSet([2, 4, 5]).delta() == (2, 1)
@@ -254,6 +325,47 @@ def test_length_set_matches_explicit_factorizations():
             done += 1
             zs = factorizations(s)
             assert length_set(s) == LengthSet(len(z) for z in zs)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_length_mask_matches_per_atom_loop(data):
+    g = parse_group(data.draw(st.sampled_from(("C2xC4", "C3xC3", "C2xC2xC2", "C7", "C3xC6"))))
+    prefix = Sequence(g, [g.element(i) for i in data.draw(
+        st.lists(st.integers(0, g.order() - 1), max_size=14)
+    )])
+    b = prefix * Sequence(g, [g.neg(prefix.sigma())])
+    full = data.draw(st.booleans())
+    base = atom_set_for(g) if full else atom_set_for(g, b.support())
+    fast, twin = fresh_copy(base), fresh_copy(base)
+    fast_bud, twin_bud = Budget(), Budget()
+    mask = length_mask(fast, b.counts(), fast_bud)
+    assert mask == per_atom_length_mask(twin, b.counts(), twin_bud)
+    assert fast._length_memo == twin._length_memo
+    assert fast_bud.used == twin_bud.used
+    assert LengthSet.from_mask(mask) == LengthSet(len(z) for z in factorizations(b, base))
+
+
+def test_length_mask_and_per_atom_loop_run_out_at_the_same_node():
+    spec, text = LARGE_CATENARY_CASES[2]
+    b = parse_sequence(parse_group(spec), text)
+    base = atom_set_for(b.group, b.support())
+    full = fresh_copy(base)
+    bud = Budget()
+    length_mask(full, b.counts(), bud)
+    assert bud.used == 96
+    # one node short: the root's spend raises (its entry is already written);
+    # half the nodes: the walks stop midway with the same partial memo
+    for limit in (bud.used - 1, bud.used // 2):
+        partial = []
+        for kernel in (length_mask, per_atom_length_mask):
+            aset = fresh_copy(base)
+            with pytest.raises(BudgetExceededError):
+                kernel(aset, b.counts(), Budget(limit))
+            partial.append(aset._length_memo)
+        assert partial[0] == partial[1]
+        assert partial[0].items() <= full._length_memo.items()
+    assert len(partial[0]) < len(full._length_memo)
 
 
 def test_length_set_counting_bounds():
