@@ -11,11 +11,17 @@ whenever -sigma is a legal closing element; removing -sigma leaves the
 zero-sum-free prefix, so by the lemma that is an atom.  Each atom is reached
 once, by removing one copy of its largest element, and ``is_atom`` still
 guards every emission.
+
+Both the search and ``is_atom`` extend a subset-sum mask by an element x
+with ``AbelianGroup.translate_mask`` (inlined in the search): a few
+whole-integer shift-and-mask rotations, one per nonzero coordinate of x,
+instead of one addition-table lookup per set bit.  ``is_atom`` reads the
+index pairs of the sequence directly and builds no quotient.
 """
 
 from __future__ import annotations
 
-from .budget import Budget, as_budget
+from .budget import Budget, BudgetExceededError, as_budget
 from .groups import AbelianGroup, _factorint
 from .sequences import Sequence
 
@@ -39,6 +45,7 @@ class AtomSet:
         self._orbit_flags = None  # filled by lsystem._orbit_minimal_flags
         self._divisor_tables = None  # filled by factorize._divisor_tables
         self._members = None  # frozenset of the atoms, built on first lookup
+        self._support_set = None  # frozenset of the support, built by covers
 
     @property
     def davenport(self) -> int:
@@ -56,8 +63,9 @@ class AtomSet:
         return seq in self._members
 
     def covers(self, seq: Sequence) -> bool:
-        sup = set(self.support)
-        return all(e in sup for e in seq.support())
+        if self._support_set is None:
+            self._support_set = frozenset(self.support)
+        return all(e in self._support_set for e in seq.support())
 
     def __repr__(self):
         return (
@@ -70,11 +78,22 @@ def is_atom(s: Sequence) -> bool:
     """True iff s is nonempty, zero-sum, and has no proper nonempty
     zero-sum subsequence.  By the module's lemma one quotient by the first
     support element decides it; for 0, (0) * 0^-1 is empty, and 0 * T leaves
-    the zero-sum T."""
-    if len(s) == 0 or not s.is_zero_sum():
+    the zero-sum T.  One pass over the index pairs accumulates sigma(s) and
+    the subsequence-sum mask of s with one copy of its first element left
+    out."""
+    pairs = s.index_pairs()
+    if not pairs:
         return False
-    first = Sequence._from_index_pairs(s.group, ((s.index_pairs()[0][0], 1),))
-    return s.quotient(first).is_zero_sum_free()
+    group = s.group
+    add = group.add_table()
+    size = group.order()
+    total = pairs[0][0]
+    mask = 0
+    for k, (i, m) in enumerate(pairs):
+        for _ in range(m - 1 if k == 0 else m):
+            total = add[total * size + i]
+            mask |= group.translate_mask(mask, i) | (1 << i)
+    return total == 0 and not (mask & 1)
 
 
 def _atom_index_lists(group, sup_indices, max_len, budget: Budget, first_positions=None):
@@ -83,6 +102,7 @@ def _atom_index_lists(group, sup_indices, max_len, budget: Budget, first_positio
     size = group.order()
     add = group.add_table()
     neg = group.neg_table()
+    steps = group.translation_steps()
     sup = sorted(sup_indices)
     pos_of = {x: p for p, x in enumerate(sup)}
     found: list[tuple[int, ...]] = []
@@ -101,12 +121,9 @@ def _atom_index_lists(group, sup_indices, max_len, budget: Budget, first_positio
                 nfull = add[full * size + x]
                 if nfull == 0:
                     continue
-                shifted = 0
-                rest = proper
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    shifted |= 1 << add[(low.bit_length() - 1) * size + x]
+                shifted = proper  # translate_mask(proper, x), inlined
+                for a, hi, b, lo in steps[x]:
+                    shifted = ((shifted << a) & hi) | ((shifted >> b) & lo)
                 nproper = proper | (1 << full) | (1 << x) | shifted
                 if nproper & 1:
                     continue
@@ -153,7 +170,10 @@ def enumerate_atoms(
             p for p, x in enumerate(nonzero) if min(group.orbit_of_tuple((x,)))[0] == x
         ]
 
-    raw = _atom_index_lists(group, nonzero, cap, bud, first_positions)
+    try:
+        raw = _atom_index_lists(group, nonzero, cap, bud, first_positions)
+    except BudgetExceededError as e:
+        raise BudgetExceededError(e.limit, e.used, phase="enumerate_atoms") from e
 
     if first_positions is not None:
         # close the reduced result under the automorphism group

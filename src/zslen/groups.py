@@ -101,6 +101,7 @@ class AbelianGroup:
         "_orders",
         "_autos",
         "_auto_gens",
+        "_shifts",
     )
 
     def __init__(self, invariant_factors=()):
@@ -112,6 +113,7 @@ class AbelianGroup:
         object.__setattr__(self, "_orders", None)
         object.__setattr__(self, "_autos", None)
         object.__setattr__(self, "_auto_gens", None)
+        object.__setattr__(self, "_shifts", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("AbelianGroup is immutable")
@@ -217,6 +219,44 @@ class AbelianGroup:
         if self._elements is None:
             self._build_tables()
         return self._neg
+
+    def translation_steps(self) -> tuple[tuple[tuple[int, int, int, int], ...], ...]:
+        """Per element index x, the ``(a, hi, b, lo)`` steps that translate a
+        bitmask over element indices by x (see ``translate_mask``).
+
+        An index is mixed radix with the last coordinate least significant,
+        so coordinate k has stride s_k = n_{k+1} * ... * n_r, and adding x_k
+        rotates every block of n_k * s_k bits by a = x_k * s_k.  With
+        b = n_k * s_k - a, ``hi`` marks the positions whose offset in their
+        block is >= a and ``lo`` the others.  One step per nonzero
+        coordinate of x; computed once per instance.
+        """
+        if self._shifts is not None:
+            return self._shifts
+        ns = self.invariant_factors
+        size = self.order()
+        strides = [prod(ns[k + 1:]) for k in range(len(ns))]
+        table = []
+        for e in self.elements():
+            steps = []
+            for c, n, s in zip(e, ns, strides):
+                if c == 0:
+                    continue
+                block, a = n * s, c * s
+                hi = sum(((1 << (block - a)) - 1) << (start + a)
+                         for start in range(0, size, block))
+                steps.append((a, hi, block - a, ((1 << size) - 1) ^ hi))
+            table.append(tuple(steps))
+        result = tuple(table)
+        object.__setattr__(self, "_shifts", result)
+        return result
+
+    def translate_mask(self, mask: int, i: int) -> int:
+        """The bitmask {j + i : j in mask} over element indices, by whole-word
+        shifts and masks: ``m = ((m << a) & hi) | ((m >> b) & lo)`` per step."""
+        for a, hi, b, lo in self.translation_steps()[i]:
+            mask = ((mask << a) & hi) | ((mask >> b) & lo)
+        return mask
 
     # -- element arithmetic on coordinate tuples ----------------------------
 

@@ -144,20 +144,18 @@ class Sequence:
         return self.sigma() == self.group.zero()
 
     def subsequence_sum_mask(self) -> int:
-        """Bitmask over element indices of sums of nonempty subsequences."""
+        """Bitmask over element indices of sums of nonempty subsequences.
+
+        Each copy of an element i adds i and the translate of the mask by i,
+        taken with whole-word shifts and masks, one step per nonzero
+        coordinate of i (``AbelianGroup.translate_mask``), not one table
+        lookup per set bit.
+        """
         g = self.group
-        add = g.add_table()
-        size = g.order()
         mask = 0
         for i, m in self._pairs:
             for _ in range(m):
-                shifted = 0
-                rest = mask
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    shifted |= 1 << add[(low.bit_length() - 1) * size + i]
-                mask |= shifted | (1 << i)
+                mask |= g.translate_mask(mask, i) | (1 << i)
         return mask
 
     def is_zero_sum_free(self) -> bool:

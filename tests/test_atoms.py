@@ -60,9 +60,70 @@ def naive_atoms(group, max_len):
     return sorted(set(out), key=Sequence.sort_key)
 
 
+def per_bit_sum_mask(s):
+    """Twin of ``Sequence.subsequence_sum_mask``: each copy of an element i
+    translates the mask by i with one addition-table lookup per set bit."""
+    g = s.group
+    add = g.add_table()
+    size = g.order()
+    mask = 0
+    for i, m in s.index_pairs():
+        for _ in range(m):
+            shifted = 0
+            rest = mask
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                shifted |= 1 << add[(low.bit_length() - 1) * size + i]
+            mask |= shifted | (1 << i)
+    return mask
+
+
+def per_bit_atom_index_lists(group, sup_indices, max_len, budget, first_positions=None):
+    """Twin of ``_atom_index_lists``: the same DFS, translating the mask of
+    proper subsums with one addition-table lookup per set bit."""
+    size = group.order()
+    add = group.add_table()
+    neg = group.neg_table()
+    sup = sorted(sup_indices)
+    pos_of = {x: p for p, x in enumerate(sup)}
+    found = []
+    if max_len < 2 or not sup:
+        return found
+
+    def rec(elems, last_pos, full, proper):
+        budget.spend()
+        g = neg[full]
+        gp = pos_of.get(g)
+        if gp is not None and gp >= last_pos and len(elems) + 1 <= max_len:
+            found.append(elems + (g,))
+        if len(elems) + 2 <= max_len:
+            for p in range(last_pos, len(sup)):
+                x = sup[p]
+                nfull = add[full * size + x]
+                if nfull == 0:
+                    continue
+                shifted = 0
+                rest = proper
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    shifted |= 1 << add[(low.bit_length() - 1) * size + x]
+                nproper = proper | (1 << full) | (1 << x) | shifted
+                if nproper & 1:
+                    continue
+                rec(elems + (x,), p, nfull, nproper)
+
+    starts = range(len(sup)) if first_positions is None else first_positions
+    for p in starts:
+        x = sup[p]
+        rec((x,), p, x, 0)
+    return found
+
+
 def brute_is_atom(s):
     """Minimality checked at every support element: s * g^-1 must be
-    zero-sum-free for each g in supp(s)."""
+    zero-sum-free for each g in supp(s), by the per-bit twin mask."""
     if len(s) == 0 or not s.is_zero_sum():
         return False
     if len(s) == 1:
@@ -72,7 +133,7 @@ def brute_is_atom(s):
         if i == 0:
             return False  # 0 inside a longer sequence is a proper zero-sum
         reduced = s.quotient(Sequence._from_index_pairs(group, ((i, 1),)))
-        if not reduced.is_zero_sum_free():
+        if per_bit_sum_mask(reduced) & 1:
             return False
     return True
 
@@ -119,6 +180,45 @@ def test_is_atom_matches_brute_force_on_closed_prefixes(data):
     )])
     s = prefix * Sequence(g, [g.neg(prefix.sigma())])
     assert is_atom(s) == brute_is_atom(s)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_subsequence_sum_mask_matches_per_bit_loop(data):
+    g = parse_group(data.draw(st.sampled_from(
+        ("C1", "C12", "C2xC2xC2xC2", "C3xC6", "C2xC8", "C5xC5", "C2xC2xC6")
+    )))
+    s = Sequence(g, [g.element(i) for i in data.draw(
+        st.lists(st.integers(0, g.order() - 1), max_size=10)
+    )])
+    assert s.subsequence_sum_mask() == per_bit_sum_mask(s)
+
+
+@pytest.mark.parametrize("spec", GROUPS_UP_TO_16)
+def test_atom_search_matches_per_bit_twin(spec):
+    # same tuples in the same order, and the same budget spend
+    g = parse_group(spec)
+    nonzero = list(range(1, g.order()))
+    minimal = [p for p, x in enumerate(nonzero) if min(g.orbit_of_tuple((x,)))[0] == x]
+    cases = [(nonzero, None), (nonzero, minimal),
+             (nonzero[::2], None), (nonzero[: len(nonzero) // 2 + 1], None)]
+    for sup, first_positions in cases:
+        fast, slow = Budget(), Budget()
+        got = _atom_index_lists(g, sup, g.order(), fast, first_positions)
+        want = per_bit_atom_index_lists(g, sup, g.order(), slow, first_positions)
+        assert got == want and fast.used == slow.used
+
+
+@pytest.mark.parametrize(
+    "spec,count,d,nodes",
+    [("C5xC5", 31029, 9, 23113), ("C2xC2xC6", 12240, 8, 23822),
+     ("C3xC6", 2642, 8, 4787), ("C4xC4", 1107, 7, 1455),
+     ("C2xC2xC4", 698, 6, 1239), ("C2xC8", 1363, 9, 2359), ("C3xC3", 69, 5, 53)],
+)
+def test_structure_group_atom_counts(spec, count, d, nodes):
+    budget = Budget()
+    aset = enumerate_atoms(parse_group(spec), budget=budget)
+    assert (len(aset), aset.davenport, budget.used) == (count, d, nodes)
 
 
 @pytest.mark.parametrize("spec", GROUPS_UP_TO_16)
@@ -283,8 +383,18 @@ def test_max_len_cap_restricts_output():
 
 
 def test_budget_exhaustion_raises():
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError) as err:
         enumerate_atoms(parse_group("C3xC3"), budget=5)
+    assert (err.value.phase, err.value.limit, err.value.used) == ("enumerate_atoms", 5, 6)
+
+
+def test_atom_set_covers():
+    g = parse_group("C2xC4")
+    aset = enumerate_atoms(g, support=[(0, 1), (1, 1), (1, 2)])
+    assert aset.covers(parse_sequence(g, "(0,1)^3 (1,1) (1,2)^2"))
+    assert aset.covers(Sequence.empty(g))
+    assert not aset.covers(parse_sequence(g, "(0,1)^2 (0,2)"))
+    assert aset.covers(parse_sequence(g, "(1,1)"))  # the cached set answers again
 
 
 def test_independence_shape_of_squarefree_atoms():

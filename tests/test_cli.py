@@ -1,6 +1,9 @@
 """Command-line surface: output schemas, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -188,6 +191,23 @@ def test_system_budget_exhaustion_names_the_phase(capsys):
     )
     assert code == 3 and out == ""
     assert err.startswith("error: budget exhausted in enumerate_system:")
+
+
+def test_atoms_budget_exhaustion_names_the_phase(capsys):
+    code, out, err = run_cli(capsys, "atoms", "--group", "C4xC4", "--budget", "100")
+    assert code == 3 and out == ""
+    assert err.startswith("error: budget exhausted in enumerate_atoms:")
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    _, want, _ = run_cli(capsys, "atoms", "--group", "C3")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "zslen", "atoms", "--group", "C3"],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert done.returncode == 0 and done.stdout == want
 
 
 def test_env_budget_override(capsys, monkeypatch):

@@ -4,6 +4,7 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zslen.groups import AbelianGroup, parse_group
 
@@ -189,3 +190,42 @@ def test_automorphism_generators_computed_once_per_group():
     g.orbit_of_tuple((1, 2))
     g.orbit_of_tuple((3,))
     assert g.automorphism_generators() is gens
+
+
+def per_bit_translate(g, mask, x):
+    """Twin of ``translate_mask``: one addition-table lookup per set bit."""
+    add = g.add_table()
+    size = g.order()
+    shifted = 0
+    rest = mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        shifted |= 1 << add[(low.bit_length() - 1) * size + x]
+    return shifted
+
+
+TRANSLATION_GROUPS = ("C1", "C12", "C2xC2xC2xC2", "C3xC6", "C2xC8", "C5xC5", "C2xC2xC6")
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(data=st.data())
+def test_translate_mask_matches_per_bit_loop(data):
+    g = parse_group(data.draw(st.sampled_from(TRANSLATION_GROUPS)))
+    mask = data.draw(st.integers(0, (1 << g.order()) - 1))
+    x = data.draw(st.integers(0, g.order() - 1))
+    assert g.translate_mask(mask, x) == per_bit_translate(g, mask, x)
+
+
+def test_translation_steps_one_per_nonzero_coordinate():
+    for spec in TRANSLATION_GROUPS + ("C2xC4xC8", "C3xC3xC3"):
+        g = parse_group(spec)
+        steps = g.translation_steps()
+        assert len(steps) == g.order()
+        for x, e in enumerate(g.elements()):
+            assert len(steps[x]) == sum(1 for c in e if c) <= g.rank()
+            full = (1 << g.order()) - 1
+            assert g.translate_mask(full, x) == full
+            for i in range(g.order()):
+                assert g.translate_mask(1 << i, x) == 1 << g.add_index(i, x)
+        assert g.translation_steps() is steps  # computed once per instance
