@@ -6,16 +6,23 @@ L(B) is the union of 1 + L(B/A) over all atoms A dividing B, with L(empty)
 parts, so the unordered recursion is complete; sets are carried as integer
 bitmasks and the memo is shared through the AtomSet instance, which lets
 large enumerations reuse each other's subproblems.  The atoms that divide a
-node are found with bitset ANDs over per-element tables of atom indices;
-the tables are built on the first ``length_mask`` call for an atom set and
-cached on it, so enumerating atoms never pays for them.
+node are found with bitset ANDs over per-element tables of atom indices.
+Nodes are packed integers, one whole-byte field per element with the
+elements ordered by atom load, so the pivot is the lowest nonzero field and
+a child is one subtraction; the fields start one byte wide and widen to 2,
+4 or 8 bytes when a count needs it.  Layout and tables are built on the
+first ``length_mask`` call for an atom set and cached on it, so enumerating
+atoms never pays for them.
 """
 
 from __future__ import annotations
 
+import struct
 from bisect import bisect_left
+from operator import itemgetter
+from typing import Callable, NamedTuple
 
-from .budget import Budget, CapExceededError, as_budget
+from .budget import Budget, BudgetExceededError, CapExceededError, as_budget
 from .atoms import AtomSet, atom_set_for
 from .sequences import Sequence
 
@@ -181,90 +188,174 @@ def _require_zero_sum(b: Sequence):
         raise ValueError(f"sequence is not zero-sum: {b}")
 
 
-def _divisor_tables(aset: AtomSet):
-    """Bitset tables over atom indices for ``length_mask``, built on the
-    first call for an atom set and cached on it.
+class _Layout(NamedTuple):
+    """Packed memo-key layout of an atom set; see ``_divisor_tables``."""
 
-    Returns ``(loads, through, fit_rows)``: ``loads[i]`` is the number of
-    atoms through element i, ``through[i]`` the set of those atoms, and
-    ``fit_rows`` holds ``(i, top, fits)`` for each element i that some
-    atom contains, where ``top`` is the largest multiplicity of i in an
-    atom and ``fits[c]``, for c < top, is the set of atoms with at most c
-    copies of i (a count of top or more fits every atom).  Bit k of a set
-    stands for atom k.
+    fields: struct.Struct  # one whole-byte field per element, field 0 first
+    bits: int  # bits per field
+    pick: Callable  # counts in element order -> counts in field order
+    order: tuple[int, ...]  # field f holds the count of element order[f]
+    through: tuple[int, ...]  # by field: the atoms containing its element
+    fit_rows: tuple  # (f, top, fits) by field, see _divisor_tables
+    packed: tuple[int, ...]  # atom k's vector in the layout
+
+
+_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _divisor_tables(aset: AtomSet, width: int = 1) -> _Layout:
+    """Packed-key layout and bitset tables for ``length_mask``, built on
+    the first call for an atom set and cached on it.
+
+    A node of the length recursion is keyed by one integer with a field of
+    ``width`` whole bytes per group element, field 0 least significant.
+    ``order`` lists the element indices sorted by (load, index), where the
+    load of an element is the number of atoms through it, and field f
+    holds the count of ``order[f]``; so the lowest nonzero field of a key
+    is the support element through the fewest atoms, the first on ties.
+    ``through[f]`` is the set of atoms through that element, and
+    ``fit_rows`` holds ``(f, top, fits)`` for each field whose element some
+    atom contains, where ``top`` is the element's largest multiplicity in
+    an atom and ``fits[c]``, for c < top, is the set of atoms with at most c
+    copies of it (a count of top or more fits every atom).  Bit k of a set
+    stands for atom k, and ``packed[k]`` is atom k's vector in the layout,
+    so a child key is the node key minus ``packed[k]``.
+
+    A call asking for a wider field than the cached layout has widens it:
+    ``packed`` is rebuilt and the keys of the atom set's memo are unpacked
+    at the old width and repacked at the new one, so the memo keeps its
+    contents.
     """
-    if aset._divisor_tables is not None:
-        return aset._divisor_tables
+    old = aset._divisor_tables
+    if old is not None and old.bits >= 8 * width:
+        return old
     n = aset.group.order()
-    nbytes = len(aset.atoms_sparse) // 8 + 1
-    # exact[i][m]: bitmap of the atoms with exactly m copies of i
-    exact: list[dict[int, bytearray]] = [{} for _ in range(n)]
-    for k, sp in enumerate(aset.atoms_sparse):
-        byte, bit = k >> 3, 1 << (k & 7)
-        for i, m in sp:
-            buf = exact[i].get(m)
-            if buf is None:
-                buf = exact[i][m] = bytearray(nbytes)
-            buf[byte] |= bit
-    everything = (1 << len(aset.atoms_sparse)) - 1
-    through = [0] * n
-    fit_rows = []
-    for i, by_mult in enumerate(exact):
-        if not by_mult:
-            continue
-        fits = [0] * max(by_mult)
-        over = 0  # atoms with more than c copies of i
-        for c in range(len(fits) - 1, -1, -1):
-            buf = by_mult.get(c + 1)
-            if buf is not None:
-                over |= int.from_bytes(buf, "little")
-            fits[c] = everything ^ over
-        through[i] = over
-        fit_rows.append((i, len(fits), tuple(fits)))
-    loads = tuple(t.bit_count() for t in through)
-    aset._divisor_tables = (loads, tuple(through), tuple(fit_rows))
+    fields = struct.Struct(f"<{n}{_CODES[width]}")
+    if old is None:
+        nbytes = len(aset.atoms_sparse) // 8 + 1
+        # exact[i][m]: bitmap of the atoms with exactly m copies of i
+        exact: list[dict[int, bytearray]] = [{} for _ in range(n)]
+        for k, sp in enumerate(aset.atoms_sparse):
+            byte, bit = k >> 3, 1 << (k & 7)
+            for i, m in sp:
+                buf = exact[i].get(m)
+                if buf is None:
+                    buf = exact[i][m] = bytearray(nbytes)
+                buf[byte] |= bit
+        everything = (1 << len(aset.atoms_sparse)) - 1
+        through = [0] * n
+        fit_at = {}
+        for i, by_mult in enumerate(exact):
+            if not by_mult:
+                continue
+            fits = [0] * max(by_mult)
+            over = 0  # atoms with more than c copies of i
+            for c in range(len(fits) - 1, -1, -1):
+                buf = by_mult.get(c + 1)
+                if buf is not None:
+                    over |= int.from_bytes(buf, "little")
+                fits[c] = everything ^ over
+            through[i] = over
+            fit_at[i] = (len(fits), tuple(fits))
+        order = tuple(sorted(range(n), key=lambda i: (through[i].bit_count(), i)))
+        by_field = tuple(through[i] for i in order)
+        fit_rows = tuple(
+            (f, *fit_at[i]) for f, i in enumerate(order) if i in fit_at
+        )
+        pick = itemgetter(*order) if n > 1 else tuple
+    else:
+        order, by_field, fit_rows, pick = old.order, old.through, old.fit_rows, old.pick
+        memo = aset._length_memo
+        rekeyed = {
+            int.from_bytes(
+                fields.pack(*old.fields.unpack(key.to_bytes(old.fields.size, "little"))),
+                "little",
+            ): mask
+            for key, mask in memo.items()
+        }
+        memo.clear()
+        memo.update(rekeyed)
+    bits = 8 * width
+    field_of = {i: f for f, i in enumerate(order)}
+    packed = tuple(
+        sum(m << (bits * field_of[i]) for i, m in sp) for sp in aset.atoms_sparse
+    )
+    aset._divisor_tables = _Layout(fields, bits, pick, order, by_field, fit_rows, packed)
     return aset._divisor_tables
+
+
+def _field_width(counts) -> int:
+    """The narrowest field width, in bytes, that holds every count."""
+    if any(c < 0 for c in counts):
+        raise ValueError("multiplicities must be non-negative")
+    top = max(counts, default=0)
+    for width in _CODES:
+        if top < 1 << (8 * width):
+            return width
+    raise ValueError(f"multiplicity {top} does not fit in 64 bits")
+
+
+def _key_counts(aset: AtomSet, key: int) -> tuple[int, ...]:
+    """The multiplicity vector, in element order, of a ``length_mask`` memo
+    key of ``aset``."""
+    layout = aset._divisor_tables
+    by_field = layout.fields.unpack(key.to_bytes(layout.fields.size, "little"))
+    counts = [0] * len(by_field)
+    for i, c in zip(layout.order, by_field):
+        counts[i] = c
+    return tuple(counts)
 
 
 def length_mask(aset: AtomSet, counts: tuple[int, ...], budget: Budget) -> int:
     """Bitmask of L(B) for the sequence with the given multiplicity vector.
 
     Iterative post-order over the divisor lattice; results are memoized on
-    the AtomSet so independent callers share subproblems.  At each node
-    only atoms through a pivot support element are tried: every
+    the AtomSet, keyed by packed integers in the layout of
+    ``_divisor_tables``, so independent callers share subproblems.  At
+    each node only atoms through a pivot support element are tried: every
     factorization must cover the pivot, so the union over those atoms is
     already all of L(B).  The pivot is the support element through the
-    fewest atoms (the first on ties).  The atoms through it that divide the
-    node are found with bitset ANDs over ``_divisor_tables``, one per
-    element that some atom contains, and their children are built in
-    ascending atom index.
+    fewest atoms (the first on ties), which is the lowest nonzero field of
+    the key.  The atoms through it that divide the node are found with
+    bitset ANDs, one per field whose element some atom contains (the
+    counts come from one ``struct`` unpack of the key), and their children,
+    each one subtraction, are built in ascending atom index.  A new memo
+    entry spends one budget node.
+
+    ``counts`` is packed once at entry, at the layout's field width; a
+    count that does not fit widens the layout to the narrowest of 1, 2, 4
+    or 8 bytes that holds it, and a count of 2**64 or more raises
+    ValueError before any node is spent.
     """
+    layout = aset._divisor_tables or _divisor_tables(aset)
+    try:
+        key = int.from_bytes(layout.fields.pack(*layout.pick(counts)), "little")
+    except struct.error:
+        layout = _divisor_tables(aset, _field_width(counts))
+        key = int.from_bytes(layout.fields.pack(*layout.pick(counts)), "little")
     memo = aset._length_memo
-    got = memo.get(counts)
+    got = memo.get(key)
     if got is not None:
         return got
-    sparse = aset.atoms_sparse
-    loads, through, fit_rows = _divisor_tables(aset)
-    stack = [counts]
+    unpack = layout.fields.unpack
+    size = layout.fields.size
+    bits = layout.bits
+    through, fit_rows, packed = layout.through, layout.fit_rows, layout.packed
+    stack = [key]
     while stack:
         cur = stack[-1]
         if cur in memo:
             stack.pop()
             continue
-        pivot = -1
-        pivot_load = -1
-        for i, c in enumerate(cur):
-            if c:
-                load = loads[i]
-                if pivot < 0 or load < pivot_load:
-                    pivot, pivot_load = i, load
-        if pivot < 0:
+        if not cur:
             memo[cur] = 1  # L(empty) = {0}
             stack.pop()
             continue
-        fit = through[pivot]
-        for i, top, fits in fit_rows:
-            c = cur[i]
+        # the pivot's field is the lowest nonzero one
+        fit = through[((cur & -cur).bit_length() - 1) // bits]
+        by_field = unpack(cur.to_bytes(size, "little"))
+        for f, top, fits in fit_rows:
+            c = by_field[f]
             if c < top:
                 fit &= fits[c]
         mask = 0
@@ -272,10 +363,7 @@ def length_mask(aset: AtomSet, counts: tuple[int, ...], budget: Budget) -> int:
         while fit:
             low = fit & -fit
             fit ^= low
-            child = list(cur)
-            for i, m in sparse[low.bit_length() - 1]:
-                child[i] -= m
-            child = tuple(child)
+            child = cur - packed[low.bit_length() - 1]
             cm = memo.get(child)
             if cm is None:
                 missing.append(child)
@@ -287,7 +375,7 @@ def length_mask(aset: AtomSet, counts: tuple[int, ...], budget: Budget) -> int:
             memo[cur] = mask
             budget.spend()
             stack.pop()
-    return memo[counts]
+    return memo[key]
 
 
 def length_set(b: Sequence, atoms: AtomSet | None = None, budget=None) -> LengthSet:
@@ -372,7 +460,9 @@ def factorization_index_lists(
     budget: Budget | None = None,
 ) -> list[tuple[int, ...]]:
     """All factorizations of the multiplicity vector ``counts`` as sorted
-    non-increasing tuples of atom indices, each multiset exactly once."""
+    non-increasing tuples of atom indices, each multiset exactly once.
+    Running out of budget raises :class:`BudgetExceededError` with phase
+    ``factorizations``."""
     bud = as_budget(budget)
     target = list(counts)
     top = len(aset.atoms_sparse) - 1
@@ -391,7 +481,10 @@ def factorization_index_lists(
             )
         return SKIP
 
-    walk_atom_multisets(items, work, visit, dividing(items, work, target))
+    try:
+        walk_atom_multisets(items, work, visit, dividing(items, work, target))
+    except BudgetExceededError as e:
+        raise BudgetExceededError(e.limit, e.used, phase="factorizations") from e
     results.sort()
     return results
 
@@ -465,6 +558,8 @@ def catenary_of_parts(zs, budget=None) -> int:
     others against it.  The largest distance added is the bottleneck of a
     minimum spanning tree, which is the catenary degree.  Distances are
     computed on demand, one budget node each, so memory stays O(n).
+    Running out of budget raises :class:`BudgetExceededError` with phase
+    ``catenary_distances``.
     """
     bud = as_budget(budget)
     if len(zs) <= 1:
@@ -472,16 +567,19 @@ def catenary_of_parts(zs, budget=None) -> int:
     last, rest = zs[0], list(zs[1:])
     best = [len(last) + len(z) for z in rest]  # above every distance
     answer = 0
-    while rest:
-        for i, z in enumerate(rest):
-            bud.spend()
-            d = _distance_sorted(last, z)
-            if d < best[i]:
-                best[i] = d
-        k = min(range(len(rest)), key=best.__getitem__)
-        answer = max(answer, best[k])
-        last = rest.pop(k)
-        best.pop(k)
+    try:
+        while rest:
+            for i, z in enumerate(rest):
+                bud.spend()
+                d = _distance_sorted(last, z)
+                if d < best[i]:
+                    best[i] = d
+            k = min(range(len(rest)), key=best.__getitem__)
+            answer = max(answer, best[k])
+            last = rest.pop(k)
+            best.pop(k)
+    except BudgetExceededError as e:
+        raise BudgetExceededError(e.limit, e.used, phase="catenary_distances") from e
     return answer
 
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
-from .budget import BudgetExceededError, as_budget
+from .budget import Budget, BudgetExceededError, as_budget
 from .atoms import AtomSet, atom_set_for, davenport
 from .factorize import (
     END,
@@ -386,7 +386,8 @@ def rho_k(
     Any B with k in L(B) is a product of exactly k atoms, so scanning all
     k-atom products is exhaustive; max L is invariant under automorphisms,
     so the scan keeps only products led by an orbit-minimal atom.
-    ``symmetry`` is accepted for compatibility and has no effect.
+    ``symmetry`` is accepted for compatibility and has no effect.  Running
+    out of budget raises :class:`BudgetExceededError` with phase ``rho_k``.
     """
     if k < 1:
         raise ValueError("rho_k needs k >= 1")
@@ -413,7 +414,10 @@ def rho_k(
         best = max(best, length_mask(aset, tuple(counts), bud).bit_length() - 1)
         return SKIP
 
-    walk_atom_multisets([aset.atoms_sparse[i] for i in order], counts, visit, take)
+    try:
+        walk_atom_multisets([aset.atoms_sparse[i] for i in order], counts, visit, take)
+    except BudgetExceededError as e:
+        raise BudgetExceededError(e.limit, e.used, phase="rho_k") from e
     return best
 
 
@@ -689,10 +693,11 @@ def check_additively_closed(
     scan (useful when a non-closure witness is suspected in advance).
 
     Distinct sumsets are each decided once, in a canonical order (ascending
-    minimum, then values, priority pairs first), and every decision owns an
-    independent budget.  The scan is sequential, and each decision runs the
-    orbit-reduced oracle; ``threads`` and ``symmetry`` are accepted for
-    compatibility and have no effect.
+    minimum, then values, priority pairs first), and every decision and
+    every product check owns an independent budget.  The scan is
+    sequential, and each decision runs the orbit-reduced oracle;
+    ``threads`` and ``symmetry`` are accepted for compatibility and have
+    no effect.
     """
     budget_limit = None if budget is None else int(budget)
     system = enumerate_system(group, None, "seq_length", bound, budget_limit)
@@ -726,11 +731,16 @@ def check_additively_closed(
         first = by_sumset[s][0]
         if s in known:
             return SumsetCheck(first[0], first[1], s, "realizable")
-        # product witnesses from every pair producing this sumset
+        # product witnesses from every pair producing this sumset; a check
+        # that runs out of its budget confirms nothing, and the oracle
+        # below still decides the sumset
         for left, right in by_sumset[s]:
             candidate = known[left] * known[right]
-            if length_set(candidate) == s:
-                return SumsetCheck(first[0], first[1], s, "realizable")
+            try:
+                if length_set(candidate, budget=Budget(budget_limit)) == s:
+                    return SumsetCheck(first[0], first[1], s, "realizable")
+            except BudgetExceededError:
+                pass
         # shifted known set: L(0^y B) = y + L(B)
         for y in range(1, s.min):
             if LengthSet(v - y for v in s) in known:

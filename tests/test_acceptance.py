@@ -8,6 +8,7 @@ the rank-4 elementary 2-group closure verdict.
 import itertools
 import json
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -203,9 +204,10 @@ def _zero_sum_counts(group, max_len):
     return out
 
 
-def _bottleneck_threshold(dists, n):
-    """Minimax connection threshold on a complete graph given as a dict of
-    pairwise distances; independent Prim-style computation."""
+def _bottleneck_threshold(dist, n):
+    """Minimax connection threshold on a complete graph whose distances
+    come from ``dist(i, j)``, i < j; independent Prim-style computation
+    that asks for each pair exactly once."""
     in_tree = [False] * n
     best = [None] * n
     best[0] = 0
@@ -220,10 +222,34 @@ def _bottleneck_threshold(dists, n):
         answer = max(answer, pick_d)
         for v in range(n):
             if not in_tree[v]:
-                d = dists[(pick, v) if pick < v else (v, pick)]
+                d = dist(pick, v) if pick < v else dist(v, pick)
                 if best[v] is None or d < best[v]:
                     best[v] = d
     return answer
+
+
+def _counter_distances(zs, check_gap):
+    """``dist(i, j)`` over the factorizations ``zs`` with Counter
+    arithmetic, counting in ``dist.asked`` the pairs it is asked for; with
+    ``check_gap`` it also asserts that distinct factorizations are at
+    least 2 + their length gap apart."""
+    from collections import Counter
+
+    parts = [Counter(z) for z in zs]
+
+    def dist(i, j):
+        dist.asked += 1
+        common = parts[i] & parts[j]
+        d = max(
+            sum((parts[i] - common).values()),
+            sum((parts[j] - common).values()),
+        )
+        if check_gap:
+            assert d >= 2 + abs(len(zs[i]) - len(zs[j]))
+        return d
+
+    dist.asked = 0
+    return dist
 
 
 def test_criterion_06_distance_catenary_corpus():
@@ -243,21 +269,10 @@ def test_criterion_06_distance_catenary_corpus():
             assert LengthSet.from_mask(length_mask(aset, counts, bud)) == lengths
             if len(zs) < 2:
                 continue
-            from collections import Counter
-
-            parts = [Counter(z) for z in zs]
-            dists = {}
-            for i in range(len(zs)):
-                for j in range(i + 1, len(zs)):
-                    common = parts[i] & parts[j]
-                    d = max(
-                        sum((parts[i] - common).values()),
-                        sum((parts[j] - common).values()),
-                    )
-                    dists[(i, j)] = d
-                    # distinct factorizations are at least 2 + length gap apart
-                    assert d >= 2 + abs(len(zs[i]) - len(zs[j]))
-            cat = _bottleneck_threshold(dists, len(zs))
+            # distinct factorizations are at least 2 + length gap apart
+            dist = _counter_distances(zs, check_gap=True)
+            cat = _bottleneck_threshold(dist, len(zs))
+            assert dist.asked == len(zs) * (len(zs) - 1) // 2
             deltas = lengths.delta()
             if deltas:
                 assert 2 + max(deltas) <= cat
@@ -291,18 +306,9 @@ def test_criterion_06_distance_catenary_corpus():
             if deltas:
                 assert max(deltas) <= r - 2
             if len(zs) >= 2:
-                from collections import Counter
-
-                parts = [Counter(z) for z in zs]
-                dists = {}
-                for i in range(len(zs)):
-                    for j in range(i + 1, len(zs)):
-                        common = parts[i] & parts[j]
-                        dists[(i, j)] = max(
-                            sum((parts[i] - common).values()),
-                            sum((parts[j] - common).values()),
-                        )
-                assert _bottleneck_threshold(dists, len(zs)) <= r
+                dist = _counter_distances(zs, check_gap=False)
+                assert _bottleneck_threshold(dist, len(zs)) <= r
+                assert dist.asked == len(zs) * (len(zs) - 1) // 2
     print(f"(criterion 6: {checked_seqs} sequences, "
           f"{sampled_cross_checks} catenary cross-checks)")
     _report(6, "distance and catenary properties on exhaustive corpora")

@@ -199,6 +199,28 @@ def test_atoms_budget_exhaustion_names_the_phase(capsys):
     assert err.startswith("error: budget exhausted in enumerate_atoms:")
 
 
+def test_rho_budget_exhaustion_names_the_phase(capsys):
+    code, out, err = run_cli(
+        capsys, "rho", "--group", "C2xC6", "--k", "3", "--budget", "1000"
+    )
+    assert code == 3 and out == ""
+    assert err.startswith("error: budget exhausted in rho_k:")
+
+
+@pytest.mark.parametrize(
+    "budget, phase", [("100", "factorizations"), ("7210", "catenary_distances")]
+)
+def test_catenary_budget_exhaustion_names_the_phase(capsys, budget, phase):
+    # Z(B) takes 7,209 nodes to enumerate, so 7,210 runs out in the distances
+    code, out, err = run_cli(
+        capsys, "catenary", "--group", "C2xC2xC2",
+        "--seq", "(0,0,1)^3 (0,1,0)^4 (0,1,1)^3 (1,0,0)^4 (1,0,1) (1,1,0)^2 (1,1,1)^3",
+        "--budget", budget,
+    )
+    assert code == 3 and out == ""
+    assert err.startswith(f"error: budget exhausted in {phase}:")
+
+
 def test_python_dash_m_runs_the_cli(capsys):
     _, want, _ = run_cli(capsys, "atoms", "--group", "C3")
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

@@ -15,6 +15,7 @@ from zslen.atoms import AtomSet, atom_set_for, davenport
 from zslen.factorize import (
     Factorization,
     LengthSet,
+    _key_counts,
     catenary_degree,
     delta_of_set,
     distance,
@@ -108,6 +109,12 @@ def per_atom_length_mask(aset, counts, budget):
 def fresh_copy(aset):
     """The same atoms in a new AtomSet, with an empty memo and no tables."""
     return AtomSet(aset.group, aset.support, aset.atoms)
+
+
+def decoded_memo(aset):
+    """``length_mask``'s memo on ``aset`` with its packed keys decoded to
+    multiplicity tuples, comparable with ``per_atom_length_mask``'s memo."""
+    return {_key_counts(aset, key): mask for key, mask in aset._length_memo.items()}
 
 
 def counter_distance(z, zp):
@@ -341,7 +348,7 @@ def test_length_mask_matches_per_atom_loop(data):
     fast_bud, twin_bud = Budget(), Budget()
     mask = length_mask(fast, b.counts(), fast_bud)
     assert mask == per_atom_length_mask(twin, b.counts(), twin_bud)
-    assert fast._length_memo == twin._length_memo
+    assert decoded_memo(fast) == twin._length_memo
     assert fast_bud.used == twin_bud.used
     assert LengthSet.from_mask(mask) == LengthSet(len(z) for z in factorizations(b, base))
 
@@ -362,10 +369,53 @@ def test_length_mask_and_per_atom_loop_run_out_at_the_same_node():
             aset = fresh_copy(base)
             with pytest.raises(BudgetExceededError):
                 kernel(aset, b.counts(), Budget(limit))
-            partial.append(aset._length_memo)
-        assert partial[0] == partial[1]
-        assert partial[0].items() <= full._length_memo.items()
-    assert len(partial[0]) < len(full._length_memo)
+            partial.append(aset)
+        fast, twin = partial
+        assert decoded_memo(fast) == twin._length_memo
+        assert fast._length_memo.items() <= full._length_memo.items()
+    assert len(fast._length_memo) < len(full._length_memo)
+
+
+# over C3 = {0, g, 2g}, g^a (2g)^b is zero-sum when a = b mod 3
+@pytest.mark.parametrize("counts", [(0, 258, 3), (300, 3, 0), (2, 70_000, 1)])
+def test_length_mask_counts_beyond_one_byte_match_per_atom_loop(counts):
+    base = atom_set_for(parse_group("C3"))
+    fast, twin = fresh_copy(base), fresh_copy(base)
+    fast_bud, twin_bud = Budget(), Budget()
+    assert length_mask(fast, counts, fast_bud) == per_atom_length_mask(
+        twin, counts, twin_bud
+    )
+    assert fast_bud.used == twin_bud.used
+    assert decoded_memo(fast) == twin._length_memo
+
+
+def test_length_mask_widening_rekeys_the_memo():
+    base = atom_set_for(parse_group("C2xC4"))
+    fast, twin = fresh_copy(base), fresh_copy(base)
+    b = parse_sequence(base.group, "(0,1)^4 (1,1)^2 (1,2) (0,3)^3 (1,0)")
+    narrow = b.counts()
+    wide = (b * parse_sequence(base.group, "(0,2)^300")).counts()
+    for counts in (narrow, wide):
+        fast_bud, twin_bud = Budget(), Budget()
+        assert length_mask(fast, counts, fast_bud) == per_atom_length_mask(
+            twin, counts, twin_bud
+        )
+        assert fast_bud.used == twin_bud.used
+        assert decoded_memo(fast) == twin._length_memo
+    assert fast._divisor_tables.fields.size == 2 * base.group.order()
+    # the narrow entries survive the widening as memo hits
+    bud = Budget()
+    length_mask(fast, narrow, bud)
+    assert bud.used == 0
+
+
+@pytest.mark.parametrize("big", [2**64, -1])
+def test_length_mask_rejects_counts_outside_64_bits(big):
+    aset = fresh_copy(atom_set_for(parse_group("C3")))
+    bud = Budget()
+    with pytest.raises(ValueError):
+        length_mask(aset, (1, big, 0), bud)
+    assert bud.used == 0 and aset._length_memo == {}
 
 
 def test_length_set_counting_bounds():

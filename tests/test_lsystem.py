@@ -488,6 +488,34 @@ def test_closure_thread_counts_agree():
         ).pairs_checked
 
 
+def test_closure_product_checks_run_under_their_own_budgets(monkeypatch):
+    from zslen import lsystem
+
+    g = parse_group("C2xC4")
+    plain = check_additively_closed(g, bound=10, budget=50_000)
+    seen = []
+
+    def recording(b, atoms=None, budget=None):
+        seen.append(budget)
+        return length_set(b, atoms, budget)
+
+    monkeypatch.setattr(lsystem, "length_set", recording)
+    assert check_additively_closed(g, bound=10, budget=50_000) == plain
+    assert seen
+    assert all(isinstance(b, Budget) and b.limit == 50_000 for b in seen)
+    assert len({id(b) for b in seen}) == len(seen)
+
+    # a product check that runs out confirms nothing; the oracle decides
+    def exhausted(b, atoms=None, budget=None):
+        seen.append(budget)
+        raise BudgetExceededError(budget.limit, budget.limit + 1)
+
+    seen.clear()
+    monkeypatch.setattr(lsystem, "length_set", exhausted)
+    assert check_additively_closed(g, bound=10, budget=50_000) == plain
+    assert seen
+
+
 def test_nfold_sumsets():
     g = parse_group("C2xC4")
     system = enumerate_system(g, bound=10)
