@@ -45,9 +45,6 @@ class Budget:
         if self.limit is not None and self.used > self.limit:
             raise BudgetExceededError(self.limit, self.used)
 
-    def exhausted(self) -> bool:
-        return self.limit is not None and self.used > self.limit
-
 
 def as_budget(budget) -> Budget:
     if budget is None or isinstance(budget, Budget):

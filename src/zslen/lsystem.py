@@ -187,7 +187,9 @@ def enumerate_system(
     ``seq_length`` ranges over all zero-sum sequences B with |B| <= bound,
     through the forward pass of :func:`zero_sum_length_masks` (one budget
     node per (sequence, atom) push; the length memo is left untouched);
-    ``num_atom_factors`` over products of at most ``bound`` atoms.  Each
+    ``num_atom_factors`` over products of at most ``bound`` atoms, with
+    ``length_mask`` on a private copy of the atom set so that the walk's
+    memo is freed on return instead of staying on the shared one.  Each
     set keeps its first witness in depth-first order over non-decreasing
     index lists.  Running out of budget raises
     :class:`BudgetExceededError` with phase ``enumerate_system``.
@@ -206,11 +208,12 @@ def enumerate_system(
                 found.setdefault(mask, key)
         else:
             counts = [0] * group.order()
+            private = AtomSet(group, aset.support, aset.atoms)
 
             def visit(depth, chosen):
                 bud.spend()
                 key = tuple(counts)
-                found.setdefault(length_mask(aset, key, bud), key)
+                found.setdefault(length_mask(private, key, bud), key)
                 return SKIP if depth == bound else None
 
             walk_atom_multisets(aset.atoms_sparse[::-1], counts, visit)
@@ -697,9 +700,11 @@ def check_additively_closed(
     every product check owns an independent budget.  The scan is
     sequential, and each decision runs the orbit-reduced oracle;
     ``threads`` and ``symmetry`` are accepted for compatibility and have
-    no effect.
+    no effect.  ``budget`` is a node count, a :class:`Budget` or None;
+    only its limit is used, and each phase gets a fresh budget of that
+    size.
     """
-    budget_limit = None if budget is None else int(budget)
+    budget_limit = as_budget(budget).limit
     system = enumerate_system(group, None, "seq_length", bound, budget_limit)
     known: dict[LengthSet, Sequence] = {ls: w for ls, w in system.sets}
     for ls, w in extra_sets:

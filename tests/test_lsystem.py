@@ -93,6 +93,22 @@ def test_system_num_atom_factors_bound():
     assert LengthSet([2, 3]) in system
 
 
+def test_system_num_atom_factors_leaves_length_memo_empty(monkeypatch):
+    # the walk's length_mask calls run on a private copy of the atom set
+    monkeypatch.setattr(atoms, "_ATOMSET_CACHE", {})
+    system = enumerate_system(parse_group("C3"), bound_kind="num_atom_factors", bound=3)
+    assert [(ls.values, str(w)) for ls, w in system.sets] == [
+        ((0,), ""), ((1,), "(2)^3"), ((2,), "(2)^6"), ((2, 3), "(1)^3 (2)^3"),
+        ((3,), "(2)^9"), ((3, 4), "(1)^3 (2)^6"),
+    ]
+    g = parse_group("C2xC4")
+    system = enumerate_system(g, bound_kind="num_atom_factors", bound=3)
+    assert len(atoms._ATOMSET_CACHE) == 2
+    assert all(aset._length_memo == {} for aset in atoms._ATOMSET_CACHE.values())
+    assert len(system.sets) == 15
+    assert all(length_set(w) == ls for ls, w in system.sets)
+
+
 # -- brute-force twin of the forward system pass ----------------------------------
 
 
@@ -486,6 +502,16 @@ def test_closure_thread_counts_agree():
         assert rep.pairs_checked == check_additively_closed(
             parse_group("C2xC4"), bound=10
         ).pairs_checked
+
+
+def test_closure_accepts_a_budget_object():
+    g = parse_group("C2xC4")
+    assert check_additively_closed(g, bound=10, budget=Budget(5_000_000)) == (
+        check_additively_closed(g, bound=10, budget=5_000_000)
+    )
+    assert check_additively_closed(g, bound=10, budget=Budget(None)) == (
+        check_additively_closed(g, bound=10, budget=None)
+    )
 
 
 def test_closure_product_checks_run_under_their_own_budgets(monkeypatch):
