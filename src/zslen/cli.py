@@ -276,6 +276,9 @@ def cmd_closed(args) -> int:
         "system_size": report.system_size,
     }
     lines = [f"{group}: {report.verdict} (bound {report.bound})"]
+    if report.exhausted_phase:
+        payload["exhausted_phase"] = report.exhausted_phase
+        lines.append(f"  budget exhausted in {report.exhausted_phase}")
     if report.witness_pair:
         lines.append(
             f"  witness pair {report.witness_pair[0]!r} + {report.witness_pair[1]!r}"

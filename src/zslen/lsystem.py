@@ -111,68 +111,149 @@ class LengthSystem:
         return len(self.sets)
 
 
-def zero_sum_length_masks(aset: AtomSet, bound: int, budget):
-    """Yield ``(counts, mask)`` for every zero-sum sequence B over the
-    support of ``aset`` with |B| <= bound, where ``counts`` is the
-    multiplicity tuple of B and ``mask`` the bitmask of L(B).
+def _zero_free_levels(aset: AtomSet, bound: int, bud: Budget):
+    """The forward pass shared by :func:`zero_sum_length_masks` and
+    :func:`enumerate_system`.
 
-    One forward pass over atom products, level by level in |B|: L(empty) =
-    {0}, and every B on level n pushes ``mask << 1`` into B*A for each atom
-    A with |A| <= bound - n.  A factorization of C gives each of its atoms
-    A a push from C/A, so a level is complete before it is read, and only
-    zero-sum sequences are ever reached.  Sequences are packed integers
-    with one whole-byte field per group element, the element of index 0
-    most significant.  A field holds 2 * bound + 1: no count overflows, so
-    B*A is one integer addition, and a count and its complement never
-    meet, which the sort key below relies on.
+    Returns ``(levels, fields, padded)``: ``levels[n]`` maps every zero-free
+    zero-sum sequence B' with |B'| = n to the bitmask of L(B').  L(empty) =
+    {0}, and every B' on level n pushes ``mask << 1`` into B'*A for each
+    nonzero atom A with |A| <= bound - n.  A factorization of C gives each
+    of its atoms A a push from C/A, so a level is complete before it is
+    read, and only zero-sum sequences are ever reached.  The zero element
+    is a prime, so B(G) = F({0}) x B(G \\ {0}): the zero-padded 0^k B' is
+    never pushed, since L(0^k B') = k + L(B') has the mask ``mask << k``.
 
-    One budget node is one (sequence, atom) push, spent a level at a time
-    before the level runs, so the spend depends only on the support and
-    the bound.  The levels are local: the atom set's length memo is not
-    written.  The whole pass runs before the first item is yielded, and
-    the sequences come in the order of a depth-first walk over
-    non-decreasing lists of group indices, the empty sequence first.
+    Sequences are packed integers with one whole-byte field per group
+    element, the element of index 0 most significant; ``fields`` unpacks
+    them into count tuples, and ``padded`` says whether the support holds
+    the zero element.  A field holds 2 * bound + 1: no count overflows, so
+    B'*A is one integer addition, and a count and its complement never
+    meet, which :func:`_walk_order` relies on.
+
+    The budget is spent as if every zero-sum B were pushed, zero-padded
+    ones included: one node per (B, A) pair with |A| <= bound - |B|, the
+    zero atom included, spent a level at a time before the level runs.
+    The spend therefore depends only on the support and the bound.
     """
-    bud = as_budget(budget)
     size = aset.group.order()
     code = next(c for c in "BHIQ" if 2 * bound + 1 < 1 << (8 * struct.calcsize(">" + c)))
     fields = struct.Struct(f">{size}{code}")
     width = 8 * fields.size // size
-    full = (1 << (width * size)) - 1
+    padded = bool(aset.support) and aset.group.index_of(aset.support[0]) == 0
     packed_by_len: dict[int, list[int]] = {}
+    atoms_by_len = [0] * (bound + 1)
     for atom, sp in zip(aset.atoms, aset.atoms_sparse):
-        packed = sum(m << (width * (size - 1 - i)) for i, m in sp)
-        packed_by_len.setdefault(len(atom), []).append(packed)
+        if len(atom) <= bound:
+            atoms_by_len[len(atom)] += 1
+        if len(atom) > 1:
+            packed = sum(m << (width * (size - 1 - i)) for i, m in sp)
+            packed_by_len.setdefault(len(atom), []).append(packed)
     levels: list[dict[int, int]] = [{} for _ in range(bound + 1)]
     levels[0][0] = 1
+    all_zero_sum = 0  # zero-sum sequences of length n, zero-padded ones included
     for n, level in enumerate(levels):
+        all_zero_sum = all_zero_sum + len(level) if padded else len(level)
+        bud.spend(all_zero_sum * sum(atoms_by_len[: bound - n + 1]))
         pushes = [
             (levels[n + k], packed)
             for k, packed in sorted(packed_by_len.items())
             if k <= bound - n
         ]
-        bud.spend(len(level) * sum(len(packed) for _, packed in pushes))
         for key, mask in level.items():
             shifted = mask << 1
             for target, packed in pushes:
                 for a in packed:
                     c = key + a
                     target[c] = target.get(c, 0) | shifted
+    return levels, fields, padded
 
-    def walk_order(key: int) -> int:
-        # Complement every field before the last nonzero one: a walk visits
-        # more copies of a smaller index first, and a prefix before its
-        # extensions.  Counts are <= bound and complements > bound.
-        cut = -(-(key & -key).bit_length() // width) * width
-        return key ^ (full >> cut << cut)
 
+def _walk_order(key: int, width: int, full: int) -> int:
+    """A sort key for packed sequences in the order of a depth-first walk
+    over non-decreasing lists of group indices, the empty sequence first.
+
+    Every field before the last nonzero one is complemented: a walk visits
+    more copies of a smaller index first, and a prefix before its
+    extensions.  Counts are <= bound and complements > bound.  The map is
+    its own inverse.
+    """
+    if not key:
+        return 0
+    cut = -(-(key & -key).bit_length() // width) * width
+    return key ^ (full >> cut << cut)
+
+
+def _layout(fields: struct.Struct, size: int) -> tuple[int, int, int]:
+    """Field width, all field bits, and the packed sequence 0 (one copy of
+    the zero element) of the packing of ``size`` fields that ``fields``
+    unpacks."""
+    bits = 8 * fields.size
+    width = bits // size
+    return width, (1 << bits) - 1, 1 << (bits - width)
+
+
+def zero_sum_length_masks(aset: AtomSet, bound: int, budget):
+    """Yield ``(counts, mask)`` for every zero-sum sequence B over the
+    support of ``aset`` with |B| <= bound, where ``counts`` is the
+    multiplicity tuple of B and ``mask`` the bitmask of L(B).
+
+    The forward pass pushes from zero-free sequences only (see
+    :func:`_zero_free_levels`); when the support holds the zero element,
+    every 0^k B' with k + |B'| <= bound is derived from its zero-free B',
+    with mask ``mask << k``.  One budget node is one (B, A) pair over all
+    zero-sum B, zero-padded ones included, whether or not the pass
+    performs the push.  The levels are local: the atom set's length memo
+    is not written.  The whole pass runs before the first item is
+    yielded, and the sequences come in the order of a depth-first walk
+    over non-decreasing lists of group indices, the empty sequence first.
+    """
+    levels, fields, padded = _zero_free_levels(aset, bound, as_budget(budget))
+    width, full, zero = _layout(fields, aset.group.order())
     masks: dict[int, int] = {}
-    for level in levels[1:]:
-        masks.update(level)
+    for n, level in enumerate(levels):
+        for k in range(bound - n + 1 if padded else 1):
+            masks.update((key + k * zero, mask << k) for key, mask in level.items())
         level.clear()
-    yield (0,) * size, 1
-    for key in sorted(masks, key=walk_order):
+    for key in sorted(masks, key=lambda key: _walk_order(key, width, full)):
         yield fields.unpack(key.to_bytes(fields.size, "big")), masks[key]
+
+
+def _first_witnesses(aset: AtomSet, bound: int, bud: Budget) -> dict[int, tuple[int, ...]]:
+    """L mask -> counts of its first witness in the walk, over the zero-sum
+    sequences with |B| <= bound; see :func:`enumerate_system`."""
+    levels, fields, padded = _zero_free_levels(aset, bound, bud)
+    width, full, zero = _layout(fields, aset.group.order())
+    # zero-free mask -> (level, walk order) of its first sequence on the
+    # lowest level it occurs and on every level whose first one is earlier
+    firsts: dict[int, list[tuple[int, int]]] = {}
+    for n, level in enumerate(levels):
+        first: dict[int, int] = {}
+        for key, mask in level.items():
+            order = _walk_order(key, width, full)
+            if order < first.get(mask, order + 1):
+                first[mask] = order
+        level.clear()
+        for mask, order in first.items():
+            seen = firsts.setdefault(mask, [])
+            if not seen or order < seen[-1][1]:
+                seen.append((n, order))
+    # 0^k B' for the largest k, then the walk-first B' with |B'| <= bound - k:
+    # entry i of ``seen`` is the walk-first one for the k whose limit
+    # bound - k lies between its level and the next entry's
+    chosen: dict[int, tuple[int, int]] = {}  # L mask -> (k, walk order of B')
+    for mask, seen in firsts.items():
+        for i, (n, order) in enumerate(seen):
+            top = seen[i + 1][0] if i + 1 < len(seen) else bound + 1
+            for k in range(bound - top + 1, (bound - n if padded else 0) + 1):
+                if chosen.get(mask << k, (-1,))[0] < k:
+                    chosen[mask << k] = (k, order)
+    return {
+        m: fields.unpack(
+            (_walk_order(order, width, full) + k * zero).to_bytes(fields.size, "big")
+        )
+        for m, (k, order) in chosen.items()
+    }
 
 
 def enumerate_system(
@@ -184,14 +265,25 @@ def enumerate_system(
 ) -> LengthSystem:
     """All distinct L(B) for B within the bound.
 
-    ``seq_length`` ranges over all zero-sum sequences B with |B| <= bound,
-    through the forward pass of :func:`zero_sum_length_masks` (one budget
-    node per (sequence, atom) push; the length memo is left untouched);
-    ``num_atom_factors`` over products of at most ``bound`` atoms, with
-    ``length_mask`` on a private copy of the atom set so that the walk's
-    memo is freed on return instead of staying on the shared one.  Each
-    set keeps its first witness in depth-first order over non-decreasing
-    index lists.  Running out of budget raises
+    ``seq_length`` ranges over all zero-sum sequences B with |B| <= bound.
+    The forward pass it shares with :func:`zero_sum_length_masks` pushes
+    from zero-free sequences only, and each zero-padded 0^k B' gets L(B')
+    shifted by k.
+    One budget node is still one (B, A) pair over all zero-sum B, the
+    zero-padded ones included, whether or not the pass performs the push;
+    the length memo is left untouched.  The first witness of a set L is
+    0^k B' with k the largest value such that L - k is the set of some
+    zero-free B' with |B'| <= bound - k, and B' the first such in the walk:
+    the walk visits a sequence with more zeros first, and sequences with
+    equal zeros in the order of their zero-free parts.  One loop over each
+    level keeps the walk-first sequence per (set, level); there is no
+    global sort.
+
+    ``num_atom_factors`` ranges over products of at most ``bound`` atoms,
+    with ``length_mask`` on a private copy of the atom set so that the
+    walk's memo is freed on return instead of staying on the shared one.
+    Each set keeps its first witness in depth-first order over
+    non-decreasing index lists.  Running out of budget raises
     :class:`BudgetExceededError` with phase ``enumerate_system``.
     """
     if bound < 0:
@@ -204,8 +296,7 @@ def enumerate_system(
 
     try:
         if bound_kind == "seq_length":
-            for key, mask in zero_sum_length_masks(aset, bound, bud):
-                found.setdefault(mask, key)
+            found = _first_witnesses(aset, bound, bud)
         else:
             counts = [0] * group.order()
             private = AtomSet(group, aset.support, aset.atoms)
@@ -674,6 +765,7 @@ class ClosureReport:
     inconclusive: tuple  # of SumsetCheck
     pairs_checked: int
     system_size: int
+    exhausted_phase: str | None = None  # a phase that ran out before the scan
 
 
 def check_additively_closed(
@@ -702,13 +794,36 @@ def check_additively_closed(
     ``threads`` and ``symmetry`` are accepted for compatibility and have
     no effect.  ``budget`` is a node count, a :class:`Budget` or None;
     only its limit is used, and each phase gets a fresh budget of that
-    size.
+    size.  When the system pass or the length set of an ``extra_sets``
+    witness runs out of its budget, no pair is scanned: the verdict is
+    INCONCLUSIVE, and ``exhausted_phase`` is ``enumerate_system`` or
+    ``extra_sets``.
     """
     budget_limit = as_budget(budget).limit
-    system = enumerate_system(group, None, "seq_length", bound, budget_limit)
+
+    def exhausted(phase: str, system_size: int) -> ClosureReport:
+        return ClosureReport(
+            group=group,
+            bound=bound,
+            verdict="INCONCLUSIVE",
+            witness_pair=None,
+            failed_sumset=None,
+            inconclusive=(),
+            pairs_checked=0,
+            system_size=system_size,
+            exhausted_phase=phase,
+        )
+
+    try:
+        system = enumerate_system(group, None, "seq_length", bound, budget_limit)
+    except BudgetExceededError:
+        return exhausted("enumerate_system", 0)
     known: dict[LengthSet, Sequence] = {ls: w for ls, w in system.sets}
     for ls, w in extra_sets:
-        got = length_set(w)
+        try:
+            got = length_set(w, budget=Budget(budget_limit))
+        except BudgetExceededError:
+            return exhausted("extra_sets", len(system.sets))
         if got != ls:
             raise ValueError(f"extra set {ls} does not match its witness (L = {got})")
         known.setdefault(ls, w)

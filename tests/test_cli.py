@@ -193,6 +193,19 @@ def test_system_budget_exhaustion_names_the_phase(capsys):
     assert err.startswith("error: budget exhausted in enumerate_system:")
 
 
+def test_closed_system_pass_out_of_budget_reports_inconclusive(capsys):
+    argv = ("closed", "--group", "C2xC4", "--bound", "8", "--budget", "100")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == "C2xC4: INCONCLUSIVE (bound 8)\n  budget exhausted in enumerate_system\n"
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["verdict"] == "INCONCLUSIVE"
+    assert payload["exhausted_phase"] == "enumerate_system"
+    assert payload["pairs_checked"] == 0
+
+
 def test_atoms_budget_exhaustion_names_the_phase(capsys):
     code, out, err = run_cli(capsys, "atoms", "--group", "C4xC4", "--budget", "100")
     assert code == 3 and out == ""

@@ -194,6 +194,63 @@ def test_system_budget_is_one_node_per_push():
     assert "enumerate_system" in str(err.value)
 
 
+def brute_system(aset, bound):
+    """``(sets, used, raise_at)`` for the system over every zero-sum sequence
+    with |B| <= bound, zero-padded ones included: ``sets`` pairs each L(B),
+    ascending, with the counts of its first sequence in the walk of
+    :func:`brute_zero_sum_masks`; ``used`` is one node per (B, A) pair with
+    |A| <= bound - |B|, and ``raise_at(limit)`` the spend at which a budget
+    of ``limit`` runs out when each level is spent before it runs."""
+    first = {}
+    per_level = [0] * (bound + 1)
+    for counts, mask in brute_zero_sum_masks(aset, bound):
+        first.setdefault(mask, counts)
+        n = sum(counts)
+        per_level[n] += sum(1 for a in aset.atoms if len(a) <= bound - n)
+    sets = sorted((LengthSet.from_mask(m).values, c) for m, c in first.items())
+    spent = list(itertools.accumulate(per_level))
+
+    def raise_at(limit):
+        return next(s for s in spent if s > limit)
+
+    return sets, spent[-1], raise_at
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_system_matches_brute_force_property(data):
+    spec = data.draw(st.sampled_from(("C3", "C4", "C6", "C2xC2", "C2xC4", "C3xC3")))
+    group = parse_group(spec)
+    subset = data.draw(st.sets(st.integers(1, group.order() - 1), min_size=1))
+    with_zero = data.draw(st.booleans())
+    bound = data.draw(st.integers(0, 8))
+    elems = [group.element(i) for i in sorted(subset | ({0} if with_zero else set()))]
+    # a fresh atom set: the twin's length memo stays out of the shared cache
+    sets, used, raise_at = brute_system(enumerate_atoms(group, elems), bound)
+    bud = Budget()
+    system = enumerate_system(group, elems, bound=bound, budget=bud)
+    assert [(ls.values, w.counts()) for ls, w in system.sets] == sets
+    assert bud.used == used
+    if used > 1:
+        bud = Budget(used - 1)
+        with pytest.raises(BudgetExceededError) as err:
+            enumerate_system(group, elems, bound=bound, budget=bud)
+        assert (err.value.limit, err.value.used) == (used - 1, raise_at(used - 1))
+        assert err.value.phase == "enumerate_system"
+
+
+@pytest.mark.parametrize(
+    "spec,bound", [("C5", 10), ("C2xC4", 9), ("C2xC2xC2", 9), ("C3xC3", 8), ("C2xC6", 7)]
+)
+def test_system_matches_brute_force_over_the_whole_group(spec, bound):
+    group = parse_group(spec)
+    sets, used, _ = brute_system(enumerate_atoms(group), bound)
+    bud = Budget()
+    system = enumerate_system(group, bound=bound, budget=bud)
+    assert [(ls.values, w.counts()) for ls, w in system.sets] == sets
+    assert bud.used == used
+
+
 def test_system_leaves_length_memo_empty(monkeypatch):
     monkeypatch.setattr(atoms, "_ATOMSET_CACHE", {})
     group = parse_group("C2xC4")
@@ -540,6 +597,32 @@ def test_closure_product_checks_run_under_their_own_budgets(monkeypatch):
     monkeypatch.setattr(lsystem, "length_set", exhausted)
     assert check_additively_closed(g, bound=10, budget=50_000) == plain
     assert seen
+
+
+def test_closure_system_pass_out_of_budget_is_inconclusive():
+    # the C2xC4 pass at bound 8 spends 5,569 nodes
+    rep = check_additively_closed(parse_group("C2xC4"), bound=8, budget=100)
+    assert rep.verdict == "INCONCLUSIVE"
+    assert rep.exhausted_phase == "enumerate_system"
+    assert rep.witness_pair is None and rep.failed_sumset is None
+    assert rep.inconclusive == () and rep.pairs_checked == 0
+    assert check_additively_closed(parse_group("C2xC4"), bound=8).exhausted_phase is None
+
+
+def test_closure_extra_set_check_runs_under_the_budget(monkeypatch):
+    monkeypatch.setattr(atoms, "_ATOMSET_CACHE", {})
+    g = parse_group("C2xC4")
+    u = parse_sequence(g, "(0,1)^3 (1,0) (1,1)")
+    w = u * (-u)
+    extra = ((LengthSet([2, 4, 5]), w),)
+    # the system pass at bound 1 spends 1 node; L(w) takes 9 on a cold memo
+    rep = check_additively_closed(g, bound=1, budget=8, extra_sets=extra)
+    assert rep.verdict == "INCONCLUSIVE"
+    assert rep.exhausted_phase == "extra_sets"
+    assert rep.pairs_checked == 0 and rep.system_size == 2
+    monkeypatch.setattr(atoms, "_ATOMSET_CACHE", {})
+    rep = check_additively_closed(g, bound=1, budget=9, extra_sets=extra)
+    assert rep.exhausted_phase is None and rep.pairs_checked == 1
 
 
 def test_nfold_sumsets():
