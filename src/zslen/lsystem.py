@@ -112,8 +112,9 @@ class LengthSystem:
 
 
 def _zero_free_levels(aset: AtomSet, bound: int, bud: Budget):
-    """The forward pass shared by :func:`zero_sum_length_masks` and
-    :func:`enumerate_system`.
+    """The forward pass read by :func:`enumerate_system` and
+    :func:`zero_free_length_masks`; its one output is the zero-free
+    sequences.
 
     Returns ``(levels, fields, padded)``: ``levels[n]`` maps every zero-free
     zero-sum sequence B' with |B'| = n to the bitmask of L(B').  L(empty) =
@@ -184,46 +185,35 @@ def _walk_order(key: int, width: int, full: int) -> int:
     return key ^ (full >> cut << cut)
 
 
-def _layout(fields: struct.Struct, size: int) -> tuple[int, int, int]:
-    """Field width, all field bits, and the packed sequence 0 (one copy of
-    the zero element) of the packing of ``size`` fields that ``fields``
-    unpacks."""
-    bits = 8 * fields.size
-    width = bits // size
-    return width, (1 << bits) - 1, 1 << (bits - width)
+def zero_free_length_masks(aset: AtomSet, bound: int, budget):
+    """Yield ``(counts, mask)`` for every zero-free zero-sum sequence B'
+    over the support of ``aset`` with |B'| <= bound: the multiplicity tuple
+    of B' and the bitmask of L(B').  No zero-padded 0^k B' is yielded; its
+    mask is ``mask << k``.
 
-
-def zero_sum_length_masks(aset: AtomSet, bound: int, budget):
-    """Yield ``(counts, mask)`` for every zero-sum sequence B over the
-    support of ``aset`` with |B| <= bound, where ``counts`` is the
-    multiplicity tuple of B and ``mask`` the bitmask of L(B).
-
-    The forward pass pushes from zero-free sequences only (see
-    :func:`_zero_free_levels`); when the support holds the zero element,
-    every 0^k B' with k + |B'| <= bound is derived from its zero-free B',
-    with mask ``mask << k``.  One budget node is one (B, A) pair over all
-    zero-sum B, zero-padded ones included, whether or not the pass
-    performs the push.  The levels are local: the atom set's length memo
-    is not written.  The whole pass runs before the first item is
-    yielded, and the sequences come in the order of a depth-first walk
-    over non-decreasing lists of group indices, the empty sequence first.
+    This is the forward pass of :func:`enumerate_system` with its budget
+    spend, and running out raises :class:`BudgetExceededError` with phase
+    ``enumerate_system``.  The pass runs before the first item is yielded,
+    no order is promised, and each level is freed once it is read.
     """
-    levels, fields, padded = _zero_free_levels(aset, bound, as_budget(budget))
-    width, full, zero = _layout(fields, aset.group.order())
-    masks: dict[int, int] = {}
-    for n, level in enumerate(levels):
-        for k in range(bound - n + 1 if padded else 1):
-            masks.update((key + k * zero, mask << k) for key, mask in level.items())
+    try:
+        levels, fields, _ = _zero_free_levels(aset, bound, as_budget(budget))
+    except BudgetExceededError as e:
+        raise BudgetExceededError(e.limit, e.used, phase="enumerate_system") from e
+    for level in levels:
+        for key, mask in level.items():
+            yield fields.unpack(key.to_bytes(fields.size, "big")), mask
         level.clear()
-    for key in sorted(masks, key=lambda key: _walk_order(key, width, full)):
-        yield fields.unpack(key.to_bytes(fields.size, "big")), masks[key]
 
 
 def _first_witnesses(aset: AtomSet, bound: int, bud: Budget) -> dict[int, tuple[int, ...]]:
     """L mask -> counts of its first witness in the walk, over the zero-sum
     sequences with |B| <= bound; see :func:`enumerate_system`."""
     levels, fields, padded = _zero_free_levels(aset, bound, bud)
-    width, full, zero = _layout(fields, aset.group.order())
+    bits = 8 * fields.size
+    width = bits // aset.group.order()
+    full = (1 << bits) - 1
+    zero = 1 << (bits - width)  # the packed sequence 0: one copy of the zero element
     # zero-free mask -> (level, walk order) of its first sequence on the
     # lowest level it occurs and on every level whose first one is earlier
     firsts: dict[int, list[tuple[int, int]]] = {}
@@ -266,9 +256,9 @@ def enumerate_system(
     """All distinct L(B) for B within the bound.
 
     ``seq_length`` ranges over all zero-sum sequences B with |B| <= bound.
-    The forward pass it shares with :func:`zero_sum_length_masks` pushes
-    from zero-free sequences only, and each zero-padded 0^k B' gets L(B')
-    shifted by k.
+    It reads the zero-free sequences B' of the forward pass (the ones
+    :func:`zero_free_length_masks` yields), and each zero-padded 0^k B'
+    gets L(B') shifted by k.
     One budget node is still one (B, A) pair over all zero-sum B, the
     zero-padded ones included, whether or not the pass performs the push;
     the length memo is left untouched.  The first witness of a set L is
@@ -670,8 +660,9 @@ def is_basis_plus_sum(group: AbelianGroup, elems) -> bool:
     """Over an elementary 2-group: is the subset {f_1,...,f_r, f_1+...+f_r}
     for some basis (f_1,...,f_r)?"""
     r = group.rank()
-    unique = list(dict.fromkeys(tuple(e) for e in elems))
-    if len(unique) != len(tuple(elems)) or len(unique) != r + 1:
+    elems = [tuple(e) for e in elems]
+    unique = list(dict.fromkeys(elems))
+    if len(unique) != len(elems) or len(unique) != r + 1:
         return False
     for cand in unique:
         rest = [e for e in unique if e != cand]

@@ -193,6 +193,14 @@ def test_system_budget_exhaustion_names_the_phase(capsys):
     assert err.startswith("error: budget exhausted in enumerate_system:")
 
 
+def test_verify_system_pass_runs_under_the_budget(capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "--scenario", "prop-el2-r3", "--budget", "1000"
+    )
+    assert code == 3 and out == ""
+    assert err.startswith("error: budget exhausted in enumerate_system:")
+
+
 def test_closed_system_pass_out_of_budget_reports_inconclusive(capsys):
     argv = ("closed", "--group", "C2xC4", "--bound", "8", "--budget", "100")
     code, out, _ = run_cli(capsys, *argv)

@@ -36,7 +36,7 @@ from zslen.lsystem import (
     nfold_system_sumset,
     rho_k,
     sumset,
-    zero_sum_length_masks,
+    zero_free_length_masks,
 )
 
 
@@ -141,6 +141,20 @@ def brute_zero_sum_masks(aset, bound):
     return out
 
 
+def assert_zero_free_pass_matches_brute_force(group, elems, bound):
+    """The reader yields each zero-free zero-sum sequence of the twin once,
+    with its mask, and every 0^k B' of the twin has the mask of B' shifted
+    by k, which verify relies on."""
+    # fresh atom sets: the twin's length memo stays out of the shared cache
+    expected = brute_zero_sum_masks(enumerate_atoms(group, elems), bound)
+    items = list(zero_free_length_masks(enumerate_atoms(group, elems), bound, None))
+    masks = dict(items)
+    assert len(masks) == len(items)
+    assert masks == {counts: mask for counts, mask in expected if counts[0] == 0}
+    for counts, mask in expected:
+        assert mask == masks[(0,) + counts[1:]] << counts[0]
+
+
 @pytest.mark.parametrize(
     "spec,bound,support",
     [
@@ -157,9 +171,7 @@ def brute_zero_sum_masks(aset, bound):
 def test_zero_sum_pass_matches_brute_force(spec, bound, support):
     group = parse_group(spec)
     elems = None if support is None else parse_sequence(group, support).support()
-    # fresh atom sets: the twin's length memo stays out of the shared cache
-    expected = brute_zero_sum_masks(enumerate_atoms(group, elems), bound)
-    assert list(zero_sum_length_masks(enumerate_atoms(group, elems), bound, None)) == expected
+    assert_zero_free_pass_matches_brute_force(group, elems, bound)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -170,8 +182,21 @@ def test_zero_sum_pass_matches_brute_force_property(data):
     subset = data.draw(st.sets(st.integers(0, group.order() - 1), min_size=1))
     bound = data.draw(st.integers(0, 7))
     elems = [group.element(i) for i in sorted(subset)]
-    expected = brute_zero_sum_masks(enumerate_atoms(group, elems), bound)
-    assert list(zero_sum_length_masks(enumerate_atoms(group, elems), bound, None)) == expected
+    assert_zero_free_pass_matches_brute_force(group, elems, bound)
+
+
+def test_zero_free_pass_spends_like_the_system_pass_and_names_its_phase():
+    group = parse_group("C2xC4")
+    bound = 8
+    bud = Budget()
+    enumerate_system(group, bound=bound, budget=bud)
+    read = Budget()
+    list(zero_free_length_masks(atom_set_for(group), bound, read))
+    assert read.used == bud.used
+    with pytest.raises(BudgetExceededError) as err:
+        list(zero_free_length_masks(atom_set_for(group), bound, bud.used - 1))
+    assert err.value.phase == "enumerate_system"
+    assert "enumerate_system" in str(err.value)
 
 
 def test_system_budget_is_one_node_per_push():
@@ -509,6 +534,13 @@ def test_is_basis_plus_sum():
     assert is_basis_plus_sum(g, [(1, 0), (0, 1), (1, 1)])
     assert not is_basis_plus_sum(g, [(1, 0), (0, 1)])
     assert not is_basis_plus_sum(g, [(1, 0), (0, 1), (1, 0)])
+    # a one-shot iterable is read once
+    elems = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
+    g3 = parse_group("C2xC2xC2")
+    assert is_basis_plus_sum(g3, elems)
+    assert is_basis_plus_sum(g3, iter(elems))
+    assert is_basis_plus_sum(g3, (e for e in elems))
+    assert not is_basis_plus_sum(g3, iter(elems + [(1, 0, 0)]))
 
 
 def test_aamp_witnesses():

@@ -5,7 +5,10 @@ import inspect
 import pytest
 
 import zslen
+from zslen import verify
+from zslen.atoms import atom_set_for
 from zslen.groups import AbelianGroup
+from zslen.lsystem import zero_free_length_masks
 from zslen.factorize import LengthSet, length_set
 from zslen.atoms import is_atom
 from zslen.verify import (
@@ -114,3 +117,16 @@ def test_scenarios_pass(sid):
     assert not failures, "\n".join(
         f"{c.reference}: computed={c.computed} expected={c.expected}" for c in failures
     )
+
+
+def test_lemma_3_5_2_reads_every_zero_free_sequence():
+    for r, count in ((3, 2_480), (4, 205_040)):
+        aset = atom_set_for(AbelianGroup([2] * r))
+        assert sum(1 for _ in zero_free_length_masks(aset, 10, None)) == count
+
+
+def test_lemma_3_5_2_gap_characterization_is_not_vacuous(monkeypatch):
+    monkeypatch.setattr(verify, "is_basis_plus_sum", lambda group, elems: False)
+    sc = run_scenario("lemma-3.5_2", heavy=False, budget=5_000_000)
+    failed = {c.reference for c in sc.claims if not c.passed}
+    assert "lemma-3.5_2/gap-characterization-r3" in failed
