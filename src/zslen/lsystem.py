@@ -43,6 +43,8 @@ from .factorize import (
     SKIP,
     STOP,
     LengthSet,
+    _CODES,
+    _field_width,
     dividing,
     length_mask,
     length_set,
@@ -128,9 +130,8 @@ def _zero_free_levels(aset: AtomSet, bound: int, bud: Budget):
     Sequences are packed integers with one whole-byte field per group
     element, the element of index 0 most significant; ``fields`` unpacks
     them into count tuples, and ``padded`` says whether the support holds
-    the zero element.  A field holds 2 * bound + 1: no count overflows, so
-    B'*A is one integer addition, and a count and its complement never
-    meet, which :func:`_walk_order` relies on.
+    the zero element.  A field holds ``bound``, so no count overflows and
+    B'*A is one integer addition.
 
     The budget is spent as if every zero-sum B were pushed, zero-padded
     ones included: one node per (B, A) pair with |A| <= bound - |B|, the
@@ -138,8 +139,7 @@ def _zero_free_levels(aset: AtomSet, bound: int, bud: Budget):
     The spend therefore depends only on the support and the bound.
     """
     size = aset.group.order()
-    code = next(c for c in "BHIQ" if 2 * bound + 1 < 1 << (8 * struct.calcsize(">" + c)))
-    fields = struct.Struct(f">{size}{code}")
+    fields = struct.Struct(f">{size}{_CODES[_field_width((bound,))]}")
     width = 8 * fields.size // size
     padded = bool(aset.support) and aset.group.index_of(aset.support[0]) == 0
     packed_by_len: dict[int, list[int]] = {}
@@ -170,21 +170,6 @@ def _zero_free_levels(aset: AtomSet, bound: int, bud: Budget):
     return levels, fields, padded
 
 
-def _walk_order(key: int, width: int, full: int) -> int:
-    """A sort key for packed sequences in the order of a depth-first walk
-    over non-decreasing lists of group indices, the empty sequence first.
-
-    Every field before the last nonzero one is complemented: a walk visits
-    more copies of a smaller index first, and a prefix before its
-    extensions.  Counts are <= bound and complements > bound.  The map is
-    its own inverse.
-    """
-    if not key:
-        return 0
-    cut = -(-(key & -key).bit_length() // width) * width
-    return key ^ (full >> cut << cut)
-
-
 def zero_free_length_masks(aset: AtomSet, bound: int, budget):
     """Yield ``(counts, mask)`` for every zero-free zero-sum sequence B'
     over the support of ``aset`` with |B'| <= bound: the multiplicity tuple
@@ -196,6 +181,8 @@ def zero_free_length_masks(aset: AtomSet, bound: int, budget):
     ``enumerate_system``.  The pass runs before the first item is yielded,
     no order is promised, and each level is freed once it is read.
     """
+    if bound < 0:
+        raise ValueError("bound must be >= 0")
     try:
         levels, fields, _ = _zero_free_levels(aset, bound, as_budget(budget))
     except BudgetExceededError as e:
@@ -210,40 +197,27 @@ def _first_witnesses(aset: AtomSet, bound: int, bud: Budget) -> dict[int, tuple[
     """L mask -> counts of its first witness in the walk, over the zero-sum
     sequences with |B| <= bound; see :func:`enumerate_system`."""
     levels, fields, padded = _zero_free_levels(aset, bound, bud)
-    bits = 8 * fields.size
-    width = bits // aset.group.order()
-    full = (1 << bits) - 1
-    zero = 1 << (bits - width)  # the packed sequence 0: one copy of the zero element
-    # zero-free mask -> (level, walk order) of its first sequence on the
-    # lowest level it occurs and on every level whose first one is earlier
-    firsts: dict[int, list[tuple[int, int]]] = {}
+    # zero-free mask -> (sorted index tuple, counts) of its walk-first B' so far
+    firsts: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+    found: dict[int, tuple[int, ...]] = {}
     for n, level in enumerate(levels):
-        first: dict[int, int] = {}
+        # the walk meets the sequences of one level in descending key order
+        top: dict[int, int] = {}
         for key, mask in level.items():
-            order = _walk_order(key, width, full)
-            if order < first.get(mask, order + 1):
-                first[mask] = order
+            if key > top.get(mask, -1):
+                top[mask] = key
         level.clear()
-        for mask, order in first.items():
-            seen = firsts.setdefault(mask, [])
-            if not seen or order < seen[-1][1]:
-                seen.append((n, order))
-    # 0^k B' for the largest k, then the walk-first B' with |B'| <= bound - k:
-    # entry i of ``seen`` is the walk-first one for the k whose limit
-    # bound - k lies between its level and the next entry's
-    chosen: dict[int, tuple[int, int]] = {}  # L mask -> (k, walk order of B')
-    for mask, seen in firsts.items():
-        for i, (n, order) in enumerate(seen):
-            top = seen[i + 1][0] if i + 1 < len(seen) else bound + 1
-            for k in range(bound - top + 1, (bound - n if padded else 0) + 1):
-                if chosen.get(mask << k, (-1,))[0] < k:
-                    chosen[mask << k] = (k, order)
-    return {
-        m: fields.unpack(
-            (_walk_order(order, width, full) + k * zero).to_bytes(fields.size, "big")
-        )
-        for m, (k, order) in chosen.items()
-    }
+        for mask, key in top.items():
+            counts = fields.unpack(key.to_bytes(fields.size, "big"))
+            spelled = tuple(i for i, c in enumerate(counts) for _ in range(c))
+            if mask not in firsts or spelled < firsts[mask][0]:
+                firsts[mask] = (spelled, counts)
+        if padded or n == bound:
+            # 0^k B' with |B'| <= n = bound - k; the largest k is set first
+            k = bound - n
+            for mask, (_, counts) in firsts.items():
+                found.setdefault(mask << k, (k,) + counts[1:])
+    return found
 
 
 def enumerate_system(
@@ -265,9 +239,9 @@ def enumerate_system(
     0^k B' with k the largest value such that L - k is the set of some
     zero-free B' with |B'| <= bound - k, and B' the first such in the walk:
     the walk visits a sequence with more zeros first, and sequences with
-    equal zeros in the order of their zero-free parts.  One loop over each
-    level keeps the walk-first sequence per (set, level); there is no
-    global sort.
+    equal zeros in the order of their zero-free parts.  The walk meets the
+    sequences of one length in descending packed-key order, so one loop
+    over each level keeps the largest key per set; there is no global sort.
 
     ``num_atom_factors`` ranges over products of at most ``bound`` atoms,
     with ``length_mask`` on a private copy of the atom set so that the

@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass
 
 from .atoms import atom_set_for, atoms_of_max_length, davenport, enumerate_atoms, is_atom
+from .budget import BudgetExceededError, as_budget
 from .factorize import LengthSet, catenary_degree, length_set
 from .groups import AbelianGroup, parse_group
 from .lsystem import (
@@ -178,6 +179,16 @@ def c33_form_member(ls: LengthSet) -> bool:
 # -- scenarios ---------------------------------------------------------------------
 
 
+def _realizable(group: AbelianGroup, target: LengthSet, budget) -> bool:
+    """The oracle's exact verdict on ``target``; an inconclusive answer
+    raises :class:`BudgetExceededError` with phase ``decide_length_set``,
+    so a budget too small never reads as a failed claim."""
+    res = decide_length_set(group, target, budget)
+    if res.realizable is None:
+        raise BudgetExceededError(as_budget(budget).limit, res.nodes, phase="decide_length_set")
+    return res.realizable
+
+
 def _scenario_lemma_3_3(heavy: bool, budget) -> Scenario:
     c = _Claims()
     g = parse_group("C2xC4")
@@ -209,7 +220,7 @@ def _scenario_lemma_3_3(heavy: bool, budget) -> Scenario:
         "lemma-3.3/maximal-atoms",
         set(atoms_of_max_length(g)) == expected_max and len(expected_max) == 8,
     )
-    big_l = length_set(u * (-u))
+    big_l = length_set(u * (-u), budget=budget)
     c.check(
         "L((-U)U) = {2,4,5}",
         "lemma-3.3/lengths",
@@ -272,14 +283,13 @@ def _scenario_lemma_3_3(heavy: bool, budget) -> Scenario:
         c.check(
             f"5 is a length of (-U)U(-V{nu})V{nu}",
             f"lemma-3.3/five-{nu}",
-            5 in length_set(target),
+            5 in length_set(target, budget=budget),
         )
 
-    res = decide_length_set(g, LengthSet([4, 6, 7, 8, 9, 10]), budget)
     c.check(
         "{4,6,7,8,9,10} is not a set of lengths over C2xC4",
         "lemma-3.3/not-realizable",
-        res.realizable,
+        _realizable(g, LengthSet([4, 6, 7, 8, 9, 10]), budget),
         False,
     )
     return c.done("lemma-3.3", g)
@@ -329,7 +339,7 @@ def _scenario_lemma_3_4_light(heavy: bool, budget) -> Scenario:
     c.check(
         "L((-U)U) = {2,5,8,9} for U = e1^4 e2^4 (e1+e2)",
         "lemma-3.4/lengths",
-        length_set(u * (-u)),
+        length_set(u * (-u), budget=budget),
         LengthSet([2, 5, 8, 9]),
     )
     structural = structural_max_atoms_c55(g)
@@ -345,7 +355,7 @@ def _scenario_lemma_3_4_light(heavy: bool, budget) -> Scenario:
     )
     bad = 0
     for w in structural:
-        if 3 not in length_set(w * w):
+        if 3 not in length_set(w * w, budget=budget):
             bad += 1
     c.check(
         "3 is a length of W^2 for every structural length-9 atom W "
@@ -382,11 +392,7 @@ def _both_direction_system_claims(
         offenders,
         [],
     )
-    missing = []
-    for inst in instances:
-        res = decide_length_set(group, inst, budget)
-        if res.realizable is not True:
-            missing.append(inst)
+    missing = [inst for inst in instances if not _realizable(group, inst, budget)]
     c.check(
         "every small closed-form instance is realizable (exact oracle)",
         f"{ref_prefix}/form-realized",
@@ -444,19 +450,19 @@ def _lem_length_claims(r: int, budget) -> Scenario:
             inter = i_set & j_set
             union = i_set | j_set
             # products of the canonical atom gadgets
-            uu = length_set(gad.U_I(i_set) * gad.U_I(j_set))
+            uu = length_set(gad.U_I(i_set) * gad.U_I(j_set), budget=budget)
             expected_uu = (
                 LengthSet([2, 1 + len(inter)]) if inter else LengthSet([2])
             )
             if uu != expected_uu:
                 bad.append(f"UU {sorted(i_set)},{sorted(j_set)}: {uu}")
             delta = 0 if inter else 1
-            vv = length_set(gad.V_I(i_set) * gad.V_I(j_set))
+            vv = length_set(gad.V_I(i_set) * gad.V_I(j_set), budget=budget)
             expected_vv = LengthSet([2, 1 + delta + r + 1 - len(union)])
             if vv != expected_vv:
                 bad.append(f"VV {sorted(i_set)},{sorted(j_set)}: {vv}")
             delta_uv = 0 if (not i_set <= j_set and not j_set <= i_set) else 1
-            uv = length_set(gad.U_I(i_set) * gad.V_I(j_set))
+            uv = length_set(gad.U_I(i_set) * gad.V_I(j_set), budget=budget)
             expected_uv = LengthSet([2, 1 + delta_uv + len(i_set - j_set)])
             if uv != expected_uv:
                 bad.append(f"UV {sorted(i_set)},{sorted(j_set)}: {uv}")
@@ -483,7 +489,7 @@ def _scenario_lemma_3_5(heavy: bool, budget) -> Scenario:
             ok = True
             for k in (1, 2, 3):
                 expected = LengthSet(2 * k + (s - 1) * j for j in range(k + 1))
-                if length_set(u ** (2 * k)) != expected:
+                if length_set(u ** (2 * k), budget=budget) != expected:
                     ok = False
             c.check(
                 f"L(U^2k) = 2k + (s-1)[0,k] for k in [1,3], r={r}, s={s}",
@@ -522,8 +528,8 @@ def _scenario_lemma_3_5(heavy: bool, budget) -> Scenario:
             if not a.is_zero_sum():
                 continue
             found += 1
-            cat = catenary_degree(a)
-            deltas = length_set(a).delta()
+            cat = catenary_degree(a, budget=budget)
+            deltas = length_set(a, budget=budget).delta()
             max_delta = max(deltas) if deltas else 0
             if cat > r or max_delta > max(0, r - 2):
                 violations.append(str(a))
@@ -565,13 +571,13 @@ def _scenario_lemma_3_5_2(heavy: bool, budget) -> Scenario:
             f"rank {r}: products with the full-basis atom split through "
             "either middle-weight gadget with short cofactors",
             f"lemma-3.5_2/split-bounds-r{r}",
-            _minfact_split_violations(r),
+            _minfact_split_violations(r, budget),
             [],
         )
     return c.done("lemma-3.5_2", None)
 
 
-def _minfact_split_violations(r: int) -> list[str]:
+def _minfact_split_violations(r: int, budget) -> list[str]:
     """For every atom A containing a middle-weight element e_I, the product
     A*V0 decomposes as V_I*B and as U_I*B' with max L(B) <= |I| and
     max L(B') <= r + 1 - |I|."""
@@ -598,8 +604,8 @@ def _minfact_split_violations(r: int) -> list[str]:
             ok = (
                 gad.V_I(i_set) * b == target
                 and gad.U_I(i_set) * b_prime == target
-                and length_set(b).max <= len(i_set)
-                and length_set(b_prime).max <= r + 1 - len(i_set)
+                and length_set(b, budget=budget).max <= len(i_set)
+                and length_set(b_prime, budget=budget).max <= r + 1 - len(i_set)
             )
             if not ok:
                 bad.append(f"{a} via weight-{weight} element {e}")
@@ -617,53 +623,49 @@ def _scenario_prop_3_8_r2(heavy: bool, budget) -> Scenario:
     c.check(
         "L((-U)U) = [2,5] for U = e1^2 e2^2 e0",
         "prop-3.8/r2-U",
-        length_set(u * (-u)),
+        length_set(u * (-u), budget=budget),
         LengthSet([2, 3, 4, 5]),
     )
     c.check(
         "L((-W3)W3) = [2,3] for W3 = e1 e2 (-e0)",
         "prop-3.8/r2-W3",
-        length_set(w3 * (-w3)),
+        length_set(w3 * (-w3), budget=budget),
         LengthSet([2, 3]),
     )
     c.check(
         "L((-W4)W4) = [2,4] for W4 = e1^2 e2 (e1-e2)",
         "prop-3.8/r2-W4",
-        length_set(w4 * (-w4)),
+        length_set(w4 * (-w4), budget=budget),
         LengthSet([2, 3, 4]),
     )
     pairs_u = u * (-u)
     c.check(
         "L((-U)^2 U^2) = [4,10]",
         "prop-3.8/r2-k2",
-        length_set(pairs_u * pairs_u),
+        length_set(pairs_u * pairs_u, budget=budget),
         LengthSet(range(4, 11)),
     )
     c.check(
         "L((-U)U(-W3)W3) = [4,8]",
         "prop-3.8/r2-UW3",
-        length_set(pairs_u * (w3 * (-w3))),
+        length_set(pairs_u * (w3 * (-w3)), budget=budget),
         LengthSet(range(4, 9)),
     )
     c.check(
         "L((-U)U(-W4)W4) = [4,9]",
         "prop-3.8/r2-UW4",
-        length_set(pairs_u * (w4 * (-w4))),
+        length_set(pairs_u * (w4 * (-w4)), budget=budget),
         LengthSet(range(4, 10)),
     )
     zeros2 = Sequence(g, [g.zero(), g.zero()])
     c.check(
         "L(0^2 (-U)U) = [4,7]: padding shifts by the number of zeros",
         "prop-3.8/r2-shift",
-        length_set(zeros2 * pairs_u),
+        length_set(zeros2 * pairs_u, budget=budget),
         LengthSet(range(4, 8)),
     )
-    odd_missing = []
-    for k in (1, 2):
-        inst = LengthSet(range(2 * k + 1, 5 * k + 3))
-        res = decide_length_set(g, inst, budget)
-        if res.realizable is not True:
-            odd_missing.append(inst)
+    odd = [LengthSet(range(2 * k + 1, 5 * k + 3)) for k in (1, 2)]
+    odd_missing = [inst for inst in odd if not _realizable(g, inst, budget)]
     c.check(
         "the maximal odd-minimum intervals [2k+1, 5k+2] are realizable for "
         "k in [1,2]",
@@ -692,11 +694,9 @@ def _scenario_prop_3_9(heavy: bool, budget) -> Scenario:
         n = g.exponent()
         d0 = 1 + sum(ni // 2 for ni in g.invariant_factors)
         top = max(n, d0)
-        missing = []
-        for d in range(3, top + 1):
-            res = decide_length_set(g, LengthSet([2, d]), budget)
-            if res.realizable is not True:
-                missing.append(d)
+        missing = [
+            d for d in range(3, top + 1) if not _realizable(g, LengthSet([2, d]), budget)
+        ]
         c.check(
             f"{{2,d}} is a set of lengths over {g} for every d in [3, {top}]",
             f"prop-3.9/two-d-{spec}",
@@ -743,8 +743,8 @@ def _scenario_theorem_table(heavy: bool, budget) -> Scenario:
         u = Sequence(g, [gad.basis[0], gad.basis[1], gad.basis[2], gad.e_I((1, 2, 3))])
         left = u ** 4
         right = gad.V0 ** 2
-        l_left = length_set(left)
-        l_right = length_set(right)
+        l_left = length_set(left, budget=budget)
+        l_right = length_set(right, budget=budget)
         c.check(
             "rank 4: the construction sets are {4,6,8} and {2,5}",
             "theorem-table/C2^4-construction",

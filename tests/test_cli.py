@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from zslen import atoms
 from zslen.cli import main
 
 
@@ -199,6 +200,26 @@ def test_verify_system_pass_runs_under_the_budget(capsys):
     )
     assert code == 3 and out == ""
     assert err.startswith("error: budget exhausted in enumerate_system:")
+
+
+@pytest.mark.parametrize(
+    "scenario, phase",
+    [
+        ("lemma-3.5", ""),
+        ("lem-length-r5", ""),
+        ("lemma-3.4-light", ""),
+        ("lemma-3.3", ""),
+        ("prop-3.9-witnesses", " in decide_length_set"),
+    ],
+)
+def test_verify_length_sets_and_oracle_run_under_the_budget(
+    capsys, monkeypatch, scenario, phase
+):
+    # fresh atom sets: a length memo warmed by another test would spend nothing
+    monkeypatch.setattr(atoms, "_ATOMSET_CACHE", {})
+    code, out, err = run_cli(capsys, "verify", "--scenario", scenario, "--budget", "1")
+    assert code == 3 and out == ""
+    assert err.startswith(f"error: budget exhausted{phase}:")
 
 
 def test_closed_system_pass_out_of_budget_reports_inconclusive(capsys):

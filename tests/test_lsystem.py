@@ -163,7 +163,8 @@ def assert_zero_free_pass_matches_brute_force(group, elems, bound):
         ("C2xC2xC2", 10, None),
         ("C3xC3", 10, None),
         ("C2xC6", 8, None),
-        ("C2", 200, None),  # counts past 127 need two-byte fields
+        ("C2", 200, None),  # one-byte fields up to their largest count
+        ("C2", 300, None),  # counts past 255 need two-byte fields
         ("C2xC2xC2", 10, "(1,0,0) (0,1,0) (0,0,1) (1,1,1)"),
         ("C2xC4", 9, "(0,0) (0,1) (1,0) (1,3) (0,2)"),
     ],
@@ -183,6 +184,11 @@ def test_zero_sum_pass_matches_brute_force_property(data):
     bound = data.draw(st.integers(0, 7))
     elems = [group.element(i) for i in sorted(subset)]
     assert_zero_free_pass_matches_brute_force(group, elems, bound)
+
+
+def test_zero_free_pass_rejects_a_negative_bound():
+    with pytest.raises(ValueError, match="bound must be >= 0"):
+        list(zero_free_length_masks(atom_set_for(parse_group("C3")), -1, None))
 
 
 def test_zero_free_pass_spends_like_the_system_pass_and_names_its_phase():

@@ -8,7 +8,8 @@ import zslen
 from zslen import verify
 from zslen.atoms import atom_set_for
 from zslen.groups import AbelianGroup
-from zslen.lsystem import zero_free_length_masks
+from zslen.budget import BudgetExceededError
+from zslen.lsystem import DecideResult, zero_free_length_masks
 from zslen.factorize import LengthSet, length_set
 from zslen.atoms import is_atom
 from zslen.verify import (
@@ -116,6 +117,20 @@ def test_scenarios_pass(sid):
     failures = [c for c in sc.claims if not c.passed]
     assert not failures, "\n".join(
         f"{c.reference}: computed={c.computed} expected={c.expected}" for c in failures
+    )
+
+
+@pytest.mark.parametrize(
+    "sid", ["lemma-3.3", "prop-el2-r2", "prop-3.8-r2", "prop-3.9-witnesses"]
+)
+def test_inconclusive_oracle_raises_instead_of_failing_a_claim(monkeypatch, sid):
+    monkeypatch.setattr(
+        verify, "decide_length_set", lambda group, target, budget: DecideResult(None, None, 7)
+    )
+    with pytest.raises(BudgetExceededError) as err:
+        run_scenario(sid, heavy=False, budget=5_000_000)
+    assert (err.value.limit, err.value.used, err.value.phase) == (
+        5_000_000, 7, "decide_length_set"
     )
 
 
