@@ -3,6 +3,10 @@
 Every enumeration that can blow up takes an optional node budget.  Running
 out raises :class:`BudgetExceededError`; callers that must never return a
 wrong boolean catch it and report an inconclusive outcome instead.
+
+A budget counts new memo entries and walk nodes, and a memo hit is free:
+it bounds cold work only, so a call on a warm atom set can spend less than
+the same call on a fresh one.
 """
 
 from __future__ import annotations

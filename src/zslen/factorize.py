@@ -10,9 +10,10 @@ node are found with bitset ANDs over per-element tables of atom indices.
 Nodes are packed integers, one whole-byte field per element with the
 elements ordered by atom load, so the pivot is the lowest nonzero field and
 a child is one subtraction; the fields start one byte wide and widen to 2,
-4 or 8 bytes when a count needs it.  Layout and tables are built on the
-first ``length_mask`` call for an atom set and cached on it, so enumerating
-atoms never pays for them.
+4 or 8 bytes when a count needs it.  Factorizations walk the same packed
+keys and find their atoms by the same ANDs.  Layout and tables are built
+on first use for an atom set and cached on it, so enumerating atoms never
+pays for them.
 """
 
 from __future__ import annotations
@@ -198,14 +199,15 @@ class _Layout(NamedTuple):
     through: tuple[int, ...]  # by field: the atoms containing its element
     fit_rows: tuple  # (f, top, fits) by field, see _divisor_tables
     packed: tuple[int, ...]  # atom k's vector in the layout
+    fitting: Callable  # (key, fit) -> the atoms of fit that divide node key
 
 
 _CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 def _divisor_tables(aset: AtomSet, width: int = 1) -> _Layout:
-    """Packed-key layout and bitset tables for ``length_mask``, built on
-    the first call for an atom set and cached on it.
+    """Packed-key layout and bitset tables of an atom set, built on first
+    use and cached on it.
 
     A node of the length recursion is keyed by one integer with a field of
     ``width`` whole bytes per group element, field 0 least significant.
@@ -219,7 +221,9 @@ def _divisor_tables(aset: AtomSet, width: int = 1) -> _Layout:
     an atom and ``fits[c]``, for c < top, is the set of atoms with at most c
     copies of it (a count of top or more fits every atom).  Bit k of a set
     stands for atom k, and ``packed[k]`` is atom k's vector in the layout,
-    so a child key is the node key minus ``packed[k]``.
+    so a child key is the node key minus ``packed[k]``.  ``fitting(key,
+    fit)`` ANDs ``fit`` with the ``fit_rows`` entries of one ``struct``
+    unpack of ``key``; a closure, so a node pays no attribute lookups.
 
     A call asking for a wider field than the cached layout has widens it:
     ``packed`` is rebuilt and the keys of the atom set's memo are unpacked
@@ -280,7 +284,17 @@ def _divisor_tables(aset: AtomSet, width: int = 1) -> _Layout:
     packed = tuple(
         sum(m << (bits * field_of[i]) for i, m in sp) for sp in aset.atoms_sparse
     )
-    aset._divisor_tables = _Layout(fields, bits, pick, order, by_field, fit_rows, packed)
+    unpack, size = fields.unpack, fields.size
+
+    def fitting(key: int, fit: int) -> int:
+        by_field = unpack(key.to_bytes(size, "little"))
+        for f, top, fits in fit_rows:
+            c = by_field[f]
+            if c < top:
+                fit &= fits[c]
+        return fit
+
+    aset._divisor_tables = _Layout(fields, bits, pick, order, by_field, fit_rows, packed, fitting)
     return aset._divisor_tables
 
 
@@ -306,6 +320,17 @@ def _key_counts(aset: AtomSet, key: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
+def _packed_key(aset: AtomSet, counts) -> tuple[_Layout, int]:
+    """The layout of ``aset`` and ``counts`` packed in it, widened first if
+    a count does not fit (ValueError if one is negative or needs 65 bits)."""
+    layout = aset._divisor_tables or _divisor_tables(aset)
+    try:
+        return layout, int.from_bytes(layout.fields.pack(*layout.pick(counts)), "little")
+    except struct.error:
+        layout = _divisor_tables(aset, _field_width(counts))
+        return layout, int.from_bytes(layout.fields.pack(*layout.pick(counts)), "little")
+
+
 def length_mask(aset: AtomSet, counts: tuple[int, ...], budget: Budget) -> int:
     """Bitmask of L(B) for the sequence with the given multiplicity vector.
 
@@ -316,31 +341,19 @@ def length_mask(aset: AtomSet, counts: tuple[int, ...], budget: Budget) -> int:
     factorization must cover the pivot, so the union over those atoms is
     already all of L(B).  The pivot is the support element through the
     fewest atoms (the first on ties), which is the lowest nonzero field of
-    the key.  The atoms through it that divide the node are found with
-    bitset ANDs, one per field whose element some atom contains (the
-    counts come from one ``struct`` unpack of the key), and their children,
-    each one subtraction, are built in ascending atom index.  A new memo
-    entry spends one budget node.
-
-    ``counts`` is packed once at entry, at the layout's field width; a
-    count that does not fit widens the layout to the narrowest of 1, 2, 4
-    or 8 bytes that holds it, and a count of 2**64 or more raises
-    ValueError before any node is spent.
+    the key.  The atoms through it that divide the node come from
+    ``layout.fitting``, and their children, each one subtraction, are
+    built in ascending atom index.  A new memo entry spends one budget
+    node; a memo hit spends nothing.  ``counts`` is packed once at entry,
+    by ``_packed_key``, so a bad count raises before any node is spent.
     """
-    layout = aset._divisor_tables or _divisor_tables(aset)
-    try:
-        key = int.from_bytes(layout.fields.pack(*layout.pick(counts)), "little")
-    except struct.error:
-        layout = _divisor_tables(aset, _field_width(counts))
-        key = int.from_bytes(layout.fields.pack(*layout.pick(counts)), "little")
+    layout, key = _packed_key(aset, counts)
     memo = aset._length_memo
     got = memo.get(key)
     if got is not None:
         return got
-    unpack = layout.fields.unpack
-    size = layout.fields.size
-    bits = layout.bits
-    through, fit_rows, packed = layout.through, layout.fit_rows, layout.packed
+    bits, fitting = layout.bits, layout.fitting
+    through, packed = layout.through, layout.packed
     stack = [key]
     while stack:
         cur = stack[-1]
@@ -352,12 +365,7 @@ def length_mask(aset: AtomSet, counts: tuple[int, ...], budget: Budget) -> int:
             stack.pop()
             continue
         # the pivot's field is the lowest nonzero one
-        fit = through[((cur & -cur).bit_length() - 1) // bits]
-        by_field = unpack(cur.to_bytes(size, "little"))
-        for f, top, fits in fit_rows:
-            c = by_field[f]
-            if c < top:
-                fit &= fits[c]
+        fit = fitting(cur, through[((cur & -cur).bit_length() - 1) // bits])
         mask = 0
         missing = []
         while fit:
@@ -440,19 +448,6 @@ def walk_atom_multisets(items, counts: list[int], visit, take=None) -> bool:
     return got == STOP or (got is None and rec(0, 0))
 
 
-def dividing(items, counts: list[int], target):
-    """A ``take`` hook for walk_atom_multisets that passes over every item
-    that would push ``counts`` above ``target`` in some coordinate."""
-
-    def take(p, depth):
-        for i, m in items[p]:
-            if counts[i] + m > target[i]:
-                return SKIP
-        return None
-
-    return take
-
-
 def factorization_index_lists(
     aset: AtomSet,
     counts,
@@ -461,28 +456,36 @@ def factorization_index_lists(
 ) -> list[tuple[int, ...]]:
     """All factorizations of the multiplicity vector ``counts`` as sorted
     non-increasing tuples of atom indices, each multiset exactly once.
-    Running out of budget raises :class:`BudgetExceededError` with phase
-    ``factorizations``."""
+    Depth-first over packed remainders: a node's children subtract an atom
+    that divides it, with index at most the last one chosen, highest first.
+    Each node, the root included, spends one budget node; running out
+    raises :class:`BudgetExceededError` with phase ``factorizations``."""
     bud = as_budget(budget)
-    target = list(counts)
-    top = len(aset.atoms_sparse) - 1
-    items = aset.atoms_sparse[::-1]  # position p is atom index top - p
-    work = [0] * len(target)
+    layout, key = _packed_key(aset, counts)
+    packed, fitting = layout.packed, layout.fitting
+    chosen: list[int] = []
     results: list[tuple[int, ...]] = []
 
-    def visit(depth, chosen):
+    def rec(rest: int, fit: int) -> None:
+        # fit: the atoms that may join, a superset of those dividing rest
         bud.spend()
-        if work != target:
-            return None
-        results.append(tuple(top - p for p in chosen))
-        if cap is not None and len(results) > cap:
-            raise CapExceededError(
-                f"more than {cap} factorizations; raise the cap to materialize"
-            )
-        return SKIP
+        if not rest:
+            results.append(tuple(chosen))
+            if cap is not None and len(results) > cap:
+                raise CapExceededError(
+                    f"more than {cap} factorizations; raise the cap to materialize"
+                )
+            return
+        fit = fitting(rest, fit)
+        while fit:
+            k = fit.bit_length() - 1
+            chosen.append(k)
+            rec(rest - packed[k], fit)
+            chosen.pop()
+            fit ^= 1 << k
 
     try:
-        walk_atom_multisets(items, work, visit, dividing(items, work, target))
+        rec(key, (1 << len(packed)) - 1)
     except BudgetExceededError as e:
         raise BudgetExceededError(e.limit, e.used, phase="factorizations") from e
     results.sort()

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 import struct
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -45,7 +46,7 @@ from .factorize import (
     LengthSet,
     _CODES,
     _field_width,
-    dividing,
+    index_factorizations,
     length_mask,
     length_set,
     walk_atom_multisets,
@@ -487,57 +488,47 @@ def elasticity(group: AbelianGroup) -> Fraction:
     return Fraction(davenport(group), 2)
 
 
+def _negation_pairs(parts) -> list[Sequence] | None:
+    """Pair ``parts`` as (U, -U), each pair given by its smaller member, or
+    None when they do not pair; a self-negating part needs an even count."""
+    left = Counter(parts)
+    pairs: list[Sequence] = []
+    for u in sorted(left, key=Sequence.sort_key):
+        while left[u]:
+            left[u] -= 1
+            if not left[-u]:
+                return None
+            left[-u] -= 1
+            pairs.append(min(u, -u))
+    return pairs
+
+
 def extremal_elasticity_decomposition(b: Sequence, budget=None):
     """If max L(B) / min L(B) attains the elasticity, recover the pairing
-    of B into negation pairs of maximal-length atoms; otherwise None."""
+    of B into negation pairs of maximal-length atoms; otherwise None.  The
+    first factorization into those atoms, by ascending index list, whose
+    parts pair is used; its enumeration spends from ``budget``."""
     group = b.group
     if not b.is_zero_sum():
         raise ValueError("sequence is not zero-sum")
     if len(b) == 0:
         return None
-    ls = length_set(b, budget=budget)
+    bud = as_budget(budget)
+    ls = length_set(b, budget=bud)
     d = davenport(group)
     if Fraction(ls.max, ls.min) != Fraction(d, 2):
         return None
-    m = ls.min
     aset = atom_set_for(group, b.support())
-    max_atoms = [i for i in range(len(aset.atoms)) if len(aset.atoms[i]) == d]
-    items = [aset.atoms_sparse[i] for i in max_atoms]
-    target = list(b.counts())
-    counts = [0] * len(target)
-    found: list[int] = []
-
-    def visit(depth, chosen):
-        if depth < m:
-            return None
-        if counts != target:
-            return SKIP
-        found.extend(max_atoms[t] for t in chosen)
-        return STOP
-
-    if not walk_atom_multisets(items, counts, visit, dividing(items, counts, target)):
-        raise RuntimeError(
-            "elasticity ratio attained but no pairing into maximal-length "
-            "atoms was found; this contradicts the extremal structure"
-        )
-    remaining: dict[Sequence, int] = {}
-    for i in found:
-        a = aset.atoms[i]
-        remaining[a] = remaining.get(a, 0) + 1
-    pairs: list[Sequence] = []
-    while remaining:
-        u = min(remaining, key=Sequence.sort_key)
-        nu = -u
-        remaining[u] -= 1
-        if remaining[u] == 0:
-            del remaining[u]
-        if remaining.get(nu, 0) < 1:
-            raise RuntimeError("maximal-length parts do not pair under negation")
-        remaining[nu] -= 1
-        if remaining[nu] == 0:
-            del remaining[nu]
-        pairs.append(min(u, nu))
-    return pairs
+    longest = AtomSet(group, aset.support, [a for a in aset.atoms if len(a) == d])
+    _, zs = index_factorizations(b, longest, budget=bud)
+    for z in sorted(z[::-1] for z in zs):
+        pairs = _negation_pairs(longest.atoms[i] for i in z)
+        if pairs is not None:
+            return pairs
+    raise RuntimeError(
+        "elasticity ratio attained but no pairing into maximal-length "
+        "atoms was found; this contradicts the extremal structure"
+    )
 
 
 # -- distance sets ----------------------------------------------------------------

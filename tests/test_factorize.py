@@ -301,6 +301,32 @@ def test_catenary_budget_covers_distance_pairs():
     assert bud.used == 7_209 + 158 * 157 // 2
 
 
+def test_factorizations_widen_the_layout():
+    # a count of 258 needs two-byte fields, here on the factorization walk
+    b = parse_sequence(parse_group("C3"), "(1)^258 (2)^3")
+    aset = fresh_copy(atom_set_for(b.group, b.support()))
+    bud = Budget()
+    zs = factorizations(b, aset, budget=bud)
+    assert aset._divisor_tables.fields.size == 2 * 3
+    assert sorted(len(z) for z in zs) == [87, 88]
+    assert bud.used == 432
+    assert catenary_degree(b, aset) == 3
+
+
+def test_memo_hits_spend_no_budget():
+    # a budget counts new memo entries and walk nodes; a hit is free
+    g = parse_group("C2xC4")
+    u = parse_sequence(g, "(0,1)^3 (1,0) (1,1)")
+    b = u * u * (-u) * (-u)
+    aset = fresh_copy(atom_set_for(g, b.support()))
+    length_set(b, aset)
+    bud = Budget(1)
+    assert length_set(b, aset, bud) == LengthSet(range(4, 11))
+    assert bud.used == 0
+    with pytest.raises(BudgetExceededError):
+        length_set(b, fresh_copy(aset), Budget(1))
+
+
 def test_length_set_membership():
     ls = LengthSet([2, 4, 5, 9])
     assert all(v in ls for v in (2, 4, 5, 9))

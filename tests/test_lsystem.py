@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zslen import atoms
-from zslen.atoms import atom_set_for, enumerate_atoms
+from zslen.atoms import atom_set_for, davenport, enumerate_atoms
 from zslen.budget import Budget, BudgetExceededError
 from zslen.groups import AbelianGroup, parse_group
 from zslen.sequences import Sequence, parse_sequence
@@ -480,6 +480,25 @@ def test_extremal_decomposition():
     # ratio below the elasticity: no decomposition
     w = parse_sequence(g, "(0,2)^2")
     assert extremal_elasticity_decomposition(w * w) is None
+
+
+@pytest.mark.parametrize("spec,halves", [
+    ("C3xC3", ["(0,1) (1,0)^2 (2,1)^2", "(0,2)^2 (1,1) (1,2)^2", "(0,1) (1,1)^2 (2,0)^2"]),
+    ("C4xC4", ["(0,1)^3 (3,0) (3,1)^2 (3,3)", "(0,3)^3 (3,2) (3,3)^3"]),
+])
+def test_extremal_decomposition_tries_every_maximal_factorization(spec, halves):
+    # the first factorization into maximal-length atoms does not pair here
+    g = parse_group(spec)
+    us = [parse_sequence(g, t) for t in halves]
+    b = reduce(lambda x, y: x * y, (u * (-u) for u in us))
+    pairs = extremal_elasticity_decomposition(b)
+    assert pairs is not None and len(pairs) == len(us)
+    assert all(len(u) == davenport(g) for u in pairs)
+    assert reduce(lambda x, y: x * y, (u * (-u) for u in pairs)) == b
+    # the pairing walk spends from the caller's budget; L(B) is a memo hit now
+    with pytest.raises(BudgetExceededError) as err:
+        extremal_elasticity_decomposition(b, budget=Budget(1))
+    assert err.value.phase == "factorizations"
 
 
 def test_delta_bounded_values():
