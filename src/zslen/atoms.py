@@ -5,21 +5,25 @@ in supp(S): if S = T * T' with T, T' proper, nonempty and zero-sum, one of
 them holds fewer copies of g than S and so divides S * g^-1.
 
 Enumeration runs a depth-first search over non-decreasing element index
-lists: every node is a zero-sum-free prefix, tracked with a bitmask of the
-sums of its proper nonempty submultisets.  A node emits prefix * (-sigma)
-whenever -sigma is a legal closing element; removing -sigma leaves the
-zero-sum-free prefix, so by the lemma that is an atom.  Each atom is reached
-once, by removing one copy of its largest element, and ``is_atom`` still
-guards every emission.  The search starts at every support element and
-uses no automorphisms: starting only at orbit-minimal elements cuts nodes
-(up to 6x over C5xC5), but closing the result under Aut(G) costs as much
-time as that saves.
+lists: every node is a zero-sum-free prefix T and carries sigma(T) and the
+bitmask of -Sigma(T), where Sigma(T) is the set of nonempty subsequence
+sums of T.  A nonzero child x of T is live (T * x stays zero-sum-free) iff
+-x is not in Sigma(T), so a node reads its live children off the support
+bits with one AND against the negated mask and tries no dead one.  A node
+emits prefix * (-sigma) whenever -sigma is a legal closing element;
+removing -sigma leaves the zero-sum-free prefix, so by the lemma that is
+an atom.  Each atom is reached once, by removing one copy of its largest
+element, and ``is_atom`` still guards every emission.  The search starts at
+every support element and uses no automorphisms: starting only at
+orbit-minimal elements cuts nodes (up to 6x over C5xC5), but closing the
+result under Aut(G) costs as much time as that saves.
 
 Both the search and ``is_atom`` extend a subset-sum mask by an element x
-with ``AbelianGroup.translate_mask`` (inlined in the search): a few
+with the steps of ``AbelianGroup.translate_mask``, inlined: a few
 whole-integer shift-and-mask rotations, one per nonzero coordinate of x,
-instead of one addition-table lookup per set bit.  ``is_atom`` reads the
-index pairs of the sequence directly and builds no quotient.
+instead of one addition-table lookup per set bit.  The search translates
+-Sigma(T) by -x once per live child.  ``is_atom`` reads the index pairs of
+the sequence directly and builds no quotient.
 """
 
 from __future__ import annotations
@@ -90,50 +94,67 @@ def is_atom(s: Sequence) -> bool:
     group = s.group
     add = group.add_table()
     size = group.order()
+    steps = group.translation_steps()
     total = pairs[0][0]
     mask = 0
     for k, (i, m) in enumerate(pairs):
         for _ in range(m - 1 if k == 0 else m):
             total = add[total * size + i]
-            mask |= group.translate_mask(mask, i) | (1 << i)
+            shifted = mask  # translate_mask(mask, i), inlined
+            for a, hi, b, lo in steps[i]:
+                shifted = ((shifted << a) & hi) | ((shifted >> b) & lo)
+            mask |= shifted | (1 << i)
     return total == 0 and not (mask & 1)
 
 
 def _atom_index_lists(group, sup_indices, max_len, budget: Budget):
     """DFS core: return sorted index tuples of all atoms of length >= 2
-    whose support lies in sup_indices (zero excluded by the caller)."""
+    whose support lies in sup_indices (zero excluded by the caller).
+
+    A node is a zero-sum-free prefix T, non-decreasing in index, and carries
+    sigma(T) and ``nsig``, the bitmask of -Sigma(T) for Sigma(T) the set of
+    its nonempty subsequence sums.  T * x is zero-sum-free iff -x is not in
+    Sigma(T), so the live children are the support bits at or above the
+    last index that ``nsig`` does not hold, walked in ascending order; a
+    child's mask is ``nsig``, plus -x, plus ``nsig`` translated by -x.
+    Every node spends one unit and emits T * (-sigma(T)) when -sigma(T) is
+    in the support at or above the last index and the cap allows it.
+    """
     size = group.order()
     add = group.add_table()
     neg = group.neg_table()
     steps = group.translation_steps()
-    sup = sorted(sup_indices)
-    pos_of = {x: p for p, x in enumerate(sup)}
+    supmask = 0
+    for x in sup_indices:
+        supmask |= 1 << x
     found: list[tuple[int, ...]] = []
-    if max_len < 2 or not sup:
+    if max_len < 2 or not supmask:
         return found
+    prefix: list[int] = []
+    spend = budget.spend
 
-    def rec(elems, last_pos, full, proper):
-        budget.spend()
-        g = neg[full]
-        gp = pos_of.get(g)
-        if gp is not None and gp >= last_pos and len(elems) + 1 <= max_len:
-            found.append(elems + (g,))
-        if len(elems) + 2 <= max_len:
-            for p in range(last_pos, len(sup)):
-                x = sup[p]
-                nfull = add[full * size + x]
-                if nfull == 0:
-                    continue
-                shifted = proper  # translate_mask(proper, x), inlined
-                for a, hi, b, lo in steps[x]:
-                    shifted = ((shifted << a) & hi) | ((shifted >> b) & lo)
-                nproper = proper | (1 << full) | (1 << x) | shifted
-                if nproper & 1:
-                    continue
-                rec(elems + (x,), p, nfull, nproper)
+    def expand(last, full, nsig):
+        # visit every live child of the node (last, full, nsig), depth first
+        live = (supmask >> last << last) & ~nsig
+        while live:
+            low = live & -live
+            live ^= low
+            x = low.bit_length() - 1
+            nx = neg[x]
+            shifted = nsig  # translate_mask(nsig, -x), inlined
+            for a, hi, b, lo in steps[nx]:
+                shifted = ((shifted << a) & hi) | ((shifted >> b) & lo)
+            nfull = add[full * size + x]
+            spend()
+            prefix.append(x)
+            g = neg[nfull]
+            if g >= x and supmask >> g & 1 and len(prefix) < max_len:
+                found.append((*prefix, g))
+            if len(prefix) + 2 <= max_len:
+                expand(x, nfull, nsig | (1 << nx) | shifted)
+            prefix.pop()
 
-    for p, x in enumerate(sup):
-        rec((x,), p, x, 0)
+    expand(0, 0, 0)  # the empty prefix: every support element is live
     return found
 
 

@@ -507,8 +507,11 @@ def extremal_elasticity_decomposition(b: Sequence, budget=None):
     """If max L(B) / min L(B) attains the elasticity, recover the pairing
     of B into negation pairs of maximal-length atoms; otherwise None.  The
     first factorization into those atoms, by ascending index list, whose
-    parts pair is used; its enumeration spends from ``budget``."""
+    parts pair is used; its enumeration spends from ``budget``.  Like the
+    elasticity, it is defined for |G| >= 3 only."""
     group = b.group
+    if group.order() < 3:
+        raise ValueError("extremal_elasticity_decomposition is defined for |G| >= 3")
     if not b.is_zero_sum():
         raise ValueError("sequence is not zero-sum")
     if len(b) == 0:

@@ -204,11 +204,34 @@ def test_atom_search_matches_per_bit_twin(spec):
         assert got == want and fast.used == slow.used
 
 
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_atom_search_matches_per_bit_twin_on_random_supports(data):
+    # same tuples, order and spend; one unit short, both raise at the same node
+    g = parse_group(data.draw(st.sampled_from(
+        ("C5xC5", "C2xC2xC6", "C3xC6", "C2xC8", "C3xC3xC3")
+    )))
+    sup = sorted(data.draw(st.sets(st.integers(1, g.order() - 1), min_size=1)))
+    cap = data.draw(st.integers(2, g.order()))
+    fast, slow = Budget(), Budget()
+    got = _atom_index_lists(g, sup, cap, fast)
+    assert got == per_bit_atom_index_lists(g, sup, cap, slow)
+    assert fast.used == slow.used
+    if fast.used > 1:
+        raised = []
+        for search in (_atom_index_lists, per_bit_atom_index_lists):
+            with pytest.raises(BudgetExceededError) as err:
+                search(g, sup, cap, Budget(fast.used - 1))
+            raised.append((err.value.limit, err.value.used))
+        assert raised == [(fast.used - 1, fast.used)] * 2
+
+
 @pytest.mark.parametrize(
     "spec,count,d,nodes",
     [("C5xC5", 31029, 9, 138864), ("C2xC2xC6", 12240, 8, 57418),
      ("C3xC6", 2642, 8, 10313), ("C4xC4", 1107, 7, 4122),
-     ("C2xC2xC4", 698, 6, 2768), ("C2xC8", 1363, 9, 4962), ("C3xC3", 69, 5, 184)],
+     ("C2xC2xC4", 698, 6, 2768), ("C2xC8", 1363, 9, 4962), ("C3xC3", 69, 5, 184),
+     ("C3xC3xC3", 27912, 7, 138424)],
 )
 def test_structure_group_atom_counts(spec, count, d, nodes):
     budget = Budget()

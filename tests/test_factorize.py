@@ -503,6 +503,24 @@ def test_parse_length_set():
         parse_length_set("2,x")
 
 
+length_sets = st.builds(LengthSet, st.sets(st.integers(0, 40), min_size=1, max_size=8))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(length_sets)
+def test_parse_length_set_inverts_repr(ls):
+    assert parse_length_set(repr(ls)) == ls
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(length_sets, length_sets, length_sets, st.integers(0, 40))
+def test_length_set_sumset_laws(a, b, c, y):
+    assert a + b == b + a
+    assert (a + b) + c == a + (b + c)
+    assert ((a + b).min, (a + b).max) == (a.min + b.min, a.max + b.max)
+    assert a.shift(y) == a + LengthSet([y])
+
+
 def test_factorization_canonical_part_order():
     g = AbelianGroup([2, 2])
     v0 = Sequence(g, [(1, 0), (0, 1), (1, 1)])

@@ -482,6 +482,15 @@ def test_extremal_decomposition():
     assert extremal_elasticity_decomposition(w * w) is None
 
 
+@pytest.mark.parametrize("spec,text", [
+    ("C2", "(0) (1)^2"), ("C2", "(1)^2"), ("C2", ""), ("C1", "()^3"),
+])
+def test_extremal_decomposition_rejects_groups_below_order_3(spec, text):
+    # over C2 a zero in B cannot be covered by atoms of length D(C2) = 2
+    with pytest.raises(ValueError, match=r"\|G\| >= 3"):
+        extremal_elasticity_decomposition(parse_sequence(parse_group(spec), text))
+
+
 @pytest.mark.parametrize("spec,halves", [
     ("C3xC3", ["(0,1) (1,0)^2 (2,1)^2", "(0,2)^2 (1,1) (1,2)^2", "(0,1) (1,1)^2 (2,0)^2"]),
     ("C4xC4", ["(0,1)^3 (3,0) (3,1)^2 (3,3)", "(0,3)^3 (3,2) (3,3)^3"]),

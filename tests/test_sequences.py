@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zslen.groups import AbelianGroup, parse_group
 from zslen.sequences import Sequence, format_sequence, parse_sequence
@@ -95,6 +96,18 @@ def test_parse_format_round_trip():
     assert parse_sequence(g, "(1,0) (1,0)") == parse_sequence(g, "(1,0)^2")
     # format is sorted by the canonical element order
     assert format_sequence(parse_sequence(g, "(1,1) (0,1)")) == "(0,1) (1,1)"
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_parse_inverts_format(data):
+    g = parse_group(data.draw(st.sampled_from(
+        ("C1", "C2", "C7", "C12", "C2xC4", "C3xC3", "C2xC2xC2xC2")
+    )))
+    s = Sequence(g, [g.element(i) for i in data.draw(
+        st.lists(st.integers(0, g.order() - 1), max_size=12)
+    )])
+    assert parse_sequence(g, format_sequence(s)) == s
 
 
 def test_parse_rank_one_accepts_bare_integers():
