@@ -50,6 +50,7 @@ class AtomSet:
         self.atoms_sparse = tuple(a.index_pairs() for a in self.atoms)
         self._length_memo: dict = {}
         self._orbit_flags = None  # filled by lsystem._orbit_minimal_flags
+        self._tau_walk = None  # filled by lsystem._tau_walk
         self._divisor_tables = None  # filled by factorize._divisor_tables
         self._members = None  # frozenset of the atoms, built on first lookup
         self._support_set = None  # frozenset of the support, built by covers

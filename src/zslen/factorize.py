@@ -343,9 +343,13 @@ def length_mask(aset: AtomSet, counts: tuple[int, ...], budget: Budget) -> int:
     fewest atoms (the first on ties), which is the lowest nonzero field of
     the key.  The atoms through it that divide the node come from
     ``layout.fitting``, and their children, each one subtraction, are
-    built in ascending atom index.  A new memo entry spends one budget
-    node; a memo hit spends nothing.  ``counts`` is packed once at entry,
-    by ``_packed_key``, so a bad count raises before any node is spent.
+    built in ascending atom index.  Each node is expanded once: a node
+    with children missing from the memo stays on the stack with its
+    partial mask and the list of those children, which are pushed above
+    it, and it ORs their masks in when they are done.  A new memo entry
+    spends one budget node; a memo hit spends nothing.  ``counts`` is
+    packed once at entry, by ``_packed_key``, so a bad count raises
+    before any node is spent.
     """
     layout, key = _packed_key(aset, counts)
     memo = aset._length_memo
@@ -354,9 +358,18 @@ def length_mask(aset: AtomSet, counts: tuple[int, ...], budget: Budget) -> int:
         return got
     bits, fitting = layout.bits, layout.fitting
     through, packed = layout.through, layout.packed
-    stack = [key]
+    # a key still to expand, or (key, partial mask, missing children) for
+    # a node that waits on the children pushed above it
+    stack: list = [key]
     while stack:
         cur = stack[-1]
+        if cur.__class__ is tuple:
+            cur, mask, missing = stack.pop()
+            for child in missing:
+                mask |= memo[child] << 1
+            memo[cur] = mask
+            budget.spend()
+            continue
         if cur in memo:
             stack.pop()
             continue
@@ -378,6 +391,7 @@ def length_mask(aset: AtomSet, counts: tuple[int, ...], budget: Budget) -> int:
             else:
                 mask |= cm << 1
         if missing:
+            stack[-1] = (cur, mask, missing)
             stack.extend(missing)
         else:
             memo[cur] = mask
@@ -410,10 +424,10 @@ def walk_atom_multisets(items, counts: list[int], visit, take=None) -> bool:
     of the chosen items.
     ``visit(depth, chosen)`` runs at every node, the empty root first, and
     returns None to descend, SKIP to leave out the node's children or STOP
-    to end the walk.  Before item ``p`` joins a node of depth ``depth``,
-    ``take(p, depth)`` returns None to add it, SKIP to pass over it or END
-    to pass over it and every later item.  Returns True when a visit
-    stopped the walk.
+    to end the walk.  Before item ``p`` joins the node ``chosen`` of depth
+    ``depth``, ``take(p, depth, chosen)`` returns None to add it, SKIP to
+    pass over it or END to pass over it and every later item.  Returns
+    True when a visit stopped the walk.
     """
     chosen: list[int] = []
     n = len(items)
@@ -423,7 +437,7 @@ def walk_atom_multisets(items, counts: list[int], visit, take=None) -> bool:
         child = depth + 1
         for p in range(pos, n):
             if take is not None:
-                t = take(p, depth)
+                t = take(p, depth, chosen)
                 if t is not None:
                     if t == SKIP:
                         continue

@@ -9,7 +9,6 @@ on indices through the precomputed addition/negation tables.
 
 from __future__ import annotations
 
-import itertools
 import re
 from math import gcd, prod
 
@@ -99,7 +98,6 @@ class AbelianGroup:
         "_add",
         "_neg",
         "_orders",
-        "_autos",
         "_auto_gens",
         "_shifts",
     )
@@ -111,7 +109,6 @@ class AbelianGroup:
         object.__setattr__(self, "_add", None)
         object.__setattr__(self, "_neg", None)
         object.__setattr__(self, "_orders", None)
-        object.__setattr__(self, "_autos", None)
         object.__setattr__(self, "_auto_gens", None)
         object.__setattr__(self, "_shifts", None)
 
@@ -321,58 +318,6 @@ class AbelianGroup:
         )
 
     # -- automorphisms -------------------------------------------------------
-
-    def automorphisms(self) -> tuple[tuple[int, ...], ...]:
-        """All automorphisms as index permutations (perm[i] = image of i).
-
-        Brute-forced over images of the standard generators; intended for
-        the desk-scale groups this package targets (order a few dozen).
-        """
-        if self._autos is not None:
-            return self._autos
-        if self._elements is None:
-            self._build_tables()
-        size = self.order()
-        ns = self.invariant_factors
-        r = len(ns)
-        if size == 1:
-            autos = (tuple([0]),)
-            object.__setattr__(self, "_autos", autos)
-            return autos
-        if size ** r > 4_000_000:
-            raise ValueError(
-                f"automorphism enumeration not supported for {self} (too large)"
-            )
-        elems = self._elements
-        add = self._add
-        # candidate images for generator i: elements of order exactly ns[i]
-        candidates = [
-            [j for j in range(size) if self._orders[j] == ns[i]] for i in range(r)
-        ]
-        gen_idx = [self.index_of(e) for e in self.standard_basis()]
-        autos = []
-
-        def build(images):
-            # full index map from generator images, by filling coordinates
-            table = [0] * size
-            for i, e in enumerate(elems):
-                acc = 0
-                for coord, img in zip(e, images):
-                    step = img
-                    # coord * images via repeated doubling is overkill here
-                    for _ in range(coord):
-                        acc = add[acc * size + step]
-                table[i] = acc
-            return table
-
-        for chosen in itertools.product(*candidates):
-            table = build(chosen)
-            if len(set(table)) == size:
-                autos.append(tuple(table))
-        autos.sort()
-        result = tuple(autos)
-        object.__setattr__(self, "_autos", result)
-        return result
 
     def automorphism_generators(self) -> tuple[tuple[int, ...], ...]:
         """A generating set of automorphisms, as index permutations.

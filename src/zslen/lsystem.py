@@ -7,11 +7,16 @@ atoms and testing L(product) = L is therefore a complete decision
 procedure.  The search walks multisets in a fixed lexicographic order
 (longest atoms first) and prunes a partial product P of k atoms whenever
 (m - k) + L(P) is not contained in L, which is sound because the remaining
-atoms can always be left untouched.  The first witness found in that order
-is the lexicographically minimal one.  The leading atom is restricted to
-atoms that are minimal in their automorphism orbit, which never discards
-that witness: an automorphism lowering its leading atom would map it to a
-witness earlier in the order.
+atoms can always be left untouched.  The same argument gives the pair rule:
+if B = A_1 ... A_m realizes L, then L(A_p A_q) + (m - 2) is contained in L
+for every two of its atoms, p = q included when an atom repeats, since the
+other m - 2 atoms can be left untouched.  So an atom joins the walk only if
+it passes this test against every atom already chosen.  Both rules only
+prune, so the walk order and the first witness stay the same.  The first
+witness found in that order is the lexicographically minimal one.  The
+leading atom is restricted to atoms that are minimal in their automorphism
+orbit, which never discards that witness: an automorphism lowering its
+leading atom would map it to a witness earlier in the order.
 
 Every potentially explosive operation takes a node budget; exhausting it
 yields a typed inconclusive outcome, never a wrong boolean.
@@ -322,12 +327,25 @@ class DecideResult:
         )
 
 
-def _tau_order(aset: AtomSet) -> list[int]:
+def _tau_walk(aset: AtomSet):
+    """The oracle's walk items over ``aset``: ``(order, items, lengths)``,
+    where ``order`` lists the atom indices longest first, then by encoding,
+    and ``items`` and ``lengths`` are the sparse vectors and the lengths of
+    the atoms in that order.  Computed once per atom set."""
+    if aset._tau_walk is None:
+        sparse, atoms = aset.atoms_sparse, aset.atoms
+        order = tuple(sorted(range(len(atoms)), key=lambda i: (-len(atoms[i]), sparse[i])))
+        aset._tau_walk = (
+            order,
+            tuple(sparse[i] for i in order),
+            tuple(len(atoms[i]) for i in order),
+        )
+    return aset._tau_walk
+
+
+def _tau_order(aset: AtomSet) -> tuple[int, ...]:
     """Oracle enumeration order: longest atoms first, then by encoding."""
-    return sorted(
-        range(len(aset.atoms)),
-        key=lambda i: (-len(aset.atoms[i]), aset.atoms_sparse[i]),
-    )
+    return _tau_walk(aset)[0]
 
 
 def _orbit_minimal_flags(aset: AtomSet) -> list[bool]:
@@ -362,8 +380,16 @@ def decide_length_set(
 
     Enumerates multisets of exactly m = min(target) atoms over the full
     support; see the module docstring for the completeness argument and
-    the determinism contract.  ``symmetry`` is accepted for compatibility
-    and has no effect: the orbit reduction is always on.
+    the determinism contract.  From the third atom on, a candidate must
+    pass the pair rule against every atom already chosen: L(A_p A_q) +
+    (m - 2) is contained in the target, because a realizer of the target
+    with the two atoms among its m can leave the other m - 2 untouched.
+    At the second atom the prefix test of the two is the same check.
+    Each pair's verdict is cached for this decision only; its set of
+    lengths comes from ``length_mask`` on the atom set, so it shares the
+    length memo and spends this decision's budget like any other kernel
+    node.  ``symmetry`` is accepted for compatibility and has no effect:
+    the orbit reduction is always on.
     """
     if not target:
         raise ValueError("cannot decide the empty set")
@@ -380,16 +406,25 @@ def decide_length_set(
         return DecideResult(True, witness, bud.used)
 
     aset = atom_set_for(group)
-    order = _tau_order(aset)
-    items = [aset.atoms_sparse[i] for i in order]
-    lengths = [len(aset.atoms[i]) for i in order]
+    order, items, lengths = _tau_walk(aset)
     d_max = aset.max_len
-    counts = [0] * group.order()
+    size = group.order()
+    counts = [0] * size
     totals = [0] * (m + 1)  # length of the partial product, by depth
     flags = _orbit_minimal_flags(aset)
     witness_counts: list[tuple[int, ...]] = []
+    width = len(items)
+    compatible: dict[int, bool] = {}  # c * width + p -> the pair rule, c <= p
 
-    def take(p, depth):
+    def pair_ok(c, p):
+        both = [0] * size
+        for i, k in items[c]:
+            both[i] += k
+        for i, k in items[p]:
+            both[i] += k
+        return not (length_mask(aset, tuple(both), bud) << (m - 2)) & ~tmask
+
+    def take(p, depth, chosen):
         if depth == 0 and not flags[order[p]]:
             return SKIP
         bud.spend()
@@ -401,6 +436,16 @@ def decide_length_set(
         ntotal = totals[depth] + lengths[p]
         if nzeros + (ntotal - nzeros + (m - depth - 1) * d_max) // 2 < x_max:
             return END
+        if depth >= 2:
+            # the pair rule against every atom chosen so far; at depth 1
+            # the visit's prefix test of the two atoms is the same check
+            for c in chosen:
+                key = c * width + p
+                ok = compatible.get(key)
+                if ok is None:
+                    ok = compatible[key] = pair_ok(c, p)
+                if not ok:
+                    return SKIP
         totals[depth + 1] = ntotal
         return None
 
@@ -454,12 +499,12 @@ def rho_k(
         raise ValueError("rho_k is defined for |G| >= 3")
     bud = as_budget(budget)
     aset = atom_set_for(group)
-    order = _tau_order(aset)
+    order, items, _ = _tau_walk(aset)
     counts = [0] * group.order()
     flags = _orbit_minimal_flags(aset)
     best = 0
 
-    def take(p, depth):
+    def take(p, depth, chosen):
         if depth == 0 and not flags[order[p]]:
             return SKIP
         bud.spend()
@@ -474,7 +519,7 @@ def rho_k(
         return SKIP
 
     try:
-        walk_atom_multisets([aset.atoms_sparse[i] for i in order], counts, visit, take)
+        walk_atom_multisets(items, counts, visit, take)
     except BudgetExceededError as e:
         raise BudgetExceededError(e.limit, e.used, phase="rho_k") from e
     return best

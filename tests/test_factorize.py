@@ -15,6 +15,7 @@ from zslen.atoms import AtomSet, atom_set_for, davenport
 from zslen.factorize import (
     Factorization,
     LengthSet,
+    _divisor_tables,
     _key_counts,
     catenary_degree,
     delta_of_set,
@@ -400,6 +401,51 @@ def test_length_mask_and_per_atom_loop_run_out_at_the_same_node():
         assert decoded_memo(fast) == twin._length_memo
         assert fast._length_memo.items() <= full._length_memo.items()
     assert len(fast._length_memo) < len(full._length_memo)
+
+
+def test_length_mask_expands_each_node_once():
+    # a node whose children are missing keeps its partial mask until they
+    # are done, so a cold call runs ``fitting`` once per new memo entry
+    spec, text = LARGE_CATENARY_CASES[1]
+    b = parse_sequence(parse_group(spec), text)
+    aset = fresh_copy(atom_set_for(b.group))
+    layout = _divisor_tables(aset)
+    fitting, calls = layout.fitting, []
+
+    def counted(key, fit):
+        calls.append(key)
+        return fitting(key, fit)
+
+    aset._divisor_tables = layout._replace(fitting=counted)
+    bud = Budget()
+    length_mask(aset, (b * b).counts(), bud)
+    assert len(calls) == len(set(calls)) == bud.used
+    assert set(calls) == aset._length_memo.keys() - {0}
+
+
+@pytest.mark.parametrize("case,used", zip(LARGE_CATENARY_CASES, (184, 248, 94, 101)))
+def test_length_mask_budget_pins(case, used):
+    # cold calls over the full atom set; the nodes spent depend only on the
+    # memo entries written, not on how often a node is expanded
+    spec, text = case
+    b = parse_sequence(parse_group(spec), text)
+    aset = fresh_copy(atom_set_for(b.group))
+    bud = Budget()
+    length_mask(aset, b.counts(), bud)
+    assert bud.used == used == len(aset._length_memo) - 1
+
+
+def test_length_mask_budget_pins_on_a_shared_memo():
+    g = parse_group("C3xC3")
+    aset = fresh_copy(atom_set_for(g))
+    used = []
+    for _, text in LARGE_CATENARY_CASES[2:]:
+        b = parse_sequence(g, text)
+        for counts in (b.counts(), (b * b).counts()):
+            bud = Budget()
+            length_mask(aset, counts, bud)
+            used.append(bud.used)
+    assert used == [94, 2070, 57, 2418]
 
 
 # over C3 = {0, g, 2g}, g^a (2g)^b is zero-sum when a = b mod 3

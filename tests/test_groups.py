@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from zslen.groups import AbelianGroup, parse_group
 
+from twins import automorphisms
+
 
 def test_parse_basic_specs():
     assert parse_group("C2xC4").invariant_factors == (2, 4)
@@ -143,7 +145,7 @@ def test_automorphism_generators_generate_the_full_group():
     groups = _groups_up_to(16)
     assert len(groups) == 25
     for g in groups:
-        full = set(g.automorphisms())
+        full = set(automorphisms(g))
         gens = g.automorphism_generators()
         assert set(gens) <= full
         identity = tuple(range(g.order()))
@@ -162,11 +164,11 @@ def test_automorphism_generators_generate_the_full_group():
 
 
 def test_known_automorphism_group_sizes():
-    assert len(parse_group("C3").automorphisms()) == 2
-    assert len(parse_group("C2xC2").automorphisms()) == 6
-    assert len(parse_group("C2xC2xC2").automorphisms()) == 168
-    assert len(parse_group("C2xC4").automorphisms()) == 8
-    assert len(parse_group("C3xC3").automorphisms()) == 48
+    assert len(automorphisms(parse_group("C3"))) == 2
+    assert len(automorphisms(parse_group("C2xC2"))) == 6
+    assert len(automorphisms(parse_group("C2xC2xC2"))) == 168
+    assert len(automorphisms(parse_group("C2xC4"))) == 8
+    assert len(automorphisms(parse_group("C3xC3"))) == 48
 
 
 def test_index_arithmetic_builds_tables_on_a_fresh_group():

@@ -5,13 +5,14 @@ import functools
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zslen import atoms
+from zslen import atoms, lsystem
 from zslen.atoms import atom_set_for, davenport, enumerate_atoms
 from zslen.budget import Budget, BudgetExceededError
 from zslen.groups import AbelianGroup, parse_group
@@ -20,6 +21,7 @@ from zslen.factorize import LengthSet, length_mask, length_set, parse_length_set
 from zslen.lsystem import (
     _orbit_minimal_flags,
     _tau_order,
+    _tau_walk,
     check_additively_closed,
     decide_length_set,
     delta_bounded,
@@ -38,6 +40,8 @@ from zslen.lsystem import (
     sumset,
     zero_free_length_masks,
 )
+
+from twins import automorphisms
 
 
 def test_sumset_examples():
@@ -410,6 +414,90 @@ def test_decide_matches_brute_force_property(spec, m, gaps):
     assert (res.realizable, res.witness) == brute_decide(spec, target)
 
 
+# the pair rule prunes from the third atom on: m = 3 and 4 over small groups
+PAIR_RULE_CASES = (
+    ("C2xC2xC2", 3), ("C2xC2xC2", 4), ("C6", 3), ("C6", 4), ("C7", 3), ("C7", 4),
+    ("C2xC4", 3), ("C3xC3", 3),
+)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    case=st.sampled_from(PAIR_RULE_CASES),
+    gaps=st.sets(st.integers(1, 8), min_size=1, max_size=4),
+)
+def test_decide_with_pair_rule_matches_brute_force_property(case, gaps):
+    spec, m = case
+    target = LengthSet([m] + [m + x for x in gaps])
+    res = decide_length_set(parse_group(spec), target)
+    assert (res.realizable, res.witness) == brute_decide(spec, target)
+
+
+@pytest.mark.parametrize(
+    "spec,literal,realizable,nodes",
+    [("C4xC4", "3,4", True, 4_969), ("C2xC6", "3,8", False, 21_753)],
+)
+def test_decide_pair_rule_node_pins(monkeypatch, spec, literal, realizable, nodes):
+    # cold atom sets and memos, so the count is the decision's alone
+    monkeypatch.setattr(atoms, "_ATOMSET_CACHE", {})
+    res = decide_length_set(parse_group(spec), parse_length_set(literal))
+    assert res.realizable is realizable and res.nodes == nodes
+
+
+def test_decide_pair_checks_spend_from_the_decision_budget(monkeypatch):
+    group, target = parse_group("C2xC6"), LengthSet([3, 8])
+    calls = []  # (from a pair check, budget used before, after or None)
+
+    def counted(aset, counts, budget):
+        pair = sys._getframe(1).f_code.co_name == "pair_ok"
+        before = budget.used
+        try:
+            mask = length_mask(aset, counts, budget)
+        except BudgetExceededError:
+            calls.append((pair, before, None))
+            raise
+        calls.append((pair, before, budget.used))
+        return mask
+
+    monkeypatch.setattr(lsystem, "length_mask", counted)
+    monkeypatch.setattr(atoms, "_ATOMSET_CACHE", {})
+    bud = Budget()
+    assert decide_length_set(group, target, bud).realizable is False
+    cold = [(before, after) for pair, before, after in calls if pair and after > before]
+    assert cold and sum(after - before for before, after in cold) < bud.used
+    # a limit that the first pair check writing memo entries runs past
+    before, after = cold[0]
+    calls.clear()
+    monkeypatch.setattr(atoms, "_ATOMSET_CACHE", {})
+    res = decide_length_set(group, target, before)
+    assert res.realizable is None and res.witness is None
+    assert res.nodes == before + 1 <= after
+    assert calls[-1] == (True, before, None)
+
+
+def test_tau_walk_computed_once_per_atom_set(monkeypatch):
+    group = parse_group("C3xC3")
+    aset = atom_set_for(group)
+    walk = _tau_walk(aset)
+    assert _tau_order(aset) == walk[0]
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return sorted(*args, **kwargs)
+
+    monkeypatch.setattr(lsystem, "sorted", counted, raising=False)
+    assert _tau_walk(aset) is walk
+    decide_length_set(group, LengthSet([2, 5]))
+    rho_k(group, 2)
+    assert calls == []
+    # a fresh atom set over a fresh group instance sorts its atoms once
+    fresh = enumerate_atoms(AbelianGroup([3, 3]))
+    first = _tau_walk(fresh)
+    assert len(calls) == 1 and first == walk
+    assert _tau_walk(fresh) is first and len(calls) == 1
+
+
 def test_rho_k_matches_brute_force():
     for spec in ("C2xC4", "C3xC3"):
         for k in (2, 3):
@@ -530,7 +618,7 @@ def test_delta_star_representatives_match_brute_force():
     bound = 6
     for spec in ("C2xC4", "C3xC3", "C2xC2xC2"):
         g = parse_group(spec)
-        autos = g.automorphisms()
+        autos = automorphisms(g)
         nonzero = range(1, g.order())
         reps = sorted({
             min(tuple(sorted(perm[i] for i in subset)) for perm in autos)
