@@ -13,7 +13,7 @@ bits with one AND against the negated mask and tries no dead one.  A node
 emits prefix * (-sigma) whenever -sigma is a legal closing element;
 removing -sigma leaves the zero-sum-free prefix, so by the lemma that is
 an atom.  Each atom is reached once, by removing one copy of its largest
-element, and ``is_atom`` still guards every emission.  The search starts at
+element, and the atom test still guards every emission.  The search starts at
 every support element and uses no automorphisms: starting only at
 orbit-minimal elements cuts nodes (up to 6x over C5xC5), but closing the
 result under Aut(G) costs as much time as that saves.
@@ -22,8 +22,10 @@ Both the search and ``is_atom`` extend a subset-sum mask by an element x
 with the steps of ``AbelianGroup.translate_mask``, inlined: a few
 whole-integer shift-and-mask rotations, one per nonzero coordinate of x,
 instead of one addition-table lookup per set bit.  The search translates
--Sigma(T) by -x once per live child.  ``is_atom`` reads the index pairs of
-the sequence directly and builds no quotient.
+-Sigma(T) by -x once per live child.  The atom test reads index pairs and
+builds no quotient.  An atom set keeps each atom once, as its index pairs,
+so each emitted tuple becomes its runs and no atom ``Sequence`` is built
+until ``AtomSet.atoms`` is read, to show or return atoms.
 """
 
 from __future__ import annotations
@@ -36,18 +38,21 @@ from .sequences import Sequence
 class AtomSet:
     """All atoms over a support, with the Davenport constant of the support.
 
-    ``atoms`` is deduplicated and sorted by (length, canonical encoding);
-    ``max_len`` is the maximal atom length (0 when there are no atoms).
-    Instances carry the shared memo tables used by factorization code.
+    ``atoms_sparse`` holds each atom once, as sorted (element index,
+    multiplicity) pairs, in ``Sequence.sort_key`` order; callers pass
+    distinct atoms, as the search does.  ``atoms`` builds the same atoms as
+    ``Sequence``s on first use.  ``max_len`` is the maximal atom length (0
+    when there are no atoms).  Instances carry the shared memo tables used
+    by factorization code.
     """
 
-    def __init__(self, group: AbelianGroup, support, atoms):
+    def __init__(self, group: AbelianGroup, support, atoms_sparse):
         self.group = group
         self.support = tuple(sorted(support, key=group.index_of))
-        self.atoms = tuple(sorted(atoms, key=Sequence.sort_key))
-        self.max_len = max((len(a) for a in self.atoms), default=0)
-        # sparse index-pair views, aligned with self.atoms
-        self.atoms_sparse = tuple(a.index_pairs() for a in self.atoms)
+        keyed = sorted((sum(m for _, m in sp), sp) for sp in atoms_sparse)
+        self.atoms_sparse = tuple(sp for _, sp in keyed)
+        self.max_len = keyed[-1][0] if keyed else 0
+        self._atoms = None  # built by the atoms property
         self._length_memo: dict = {}
         self._orbit_flags = None  # filled by lsystem._orbit_minimal_flags
         self._tau_walk = None  # filled by lsystem._tau_walk
@@ -56,11 +61,19 @@ class AtomSet:
         self._support_set = None  # frozenset of the support, built by covers
 
     @property
+    def atoms(self) -> tuple[Sequence, ...]:
+        if self._atoms is None:
+            self._atoms = tuple(
+                Sequence._from_index_pairs(self.group, sp) for sp in self.atoms_sparse
+            )
+        return self._atoms
+
+    @property
     def davenport(self) -> int:
         return self.max_len
 
     def __len__(self) -> int:
-        return len(self.atoms)
+        return len(self.atoms_sparse)
 
     def __iter__(self):
         return iter(self.atoms)
@@ -78,21 +91,24 @@ class AtomSet:
     def __repr__(self):
         return (
             f"AtomSet({self.group}, |support|={len(self.support)}, "
-            f"atoms={len(self.atoms)}, max_len={self.max_len})"
+            f"atoms={len(self)}, max_len={self.max_len})"
         )
 
 
 def is_atom(s: Sequence) -> bool:
     """True iff s is nonempty, zero-sum, and has no proper nonempty
-    zero-sum subsequence.  By the module's lemma one quotient by the first
-    support element decides it; for 0, (0) * 0^-1 is empty, and 0 * T leaves
-    the zero-sum T.  One pass over the index pairs accumulates sigma(s) and
-    the subsequence-sum mask of s with one copy of its first element left
-    out."""
-    pairs = s.index_pairs()
+    zero-sum subsequence."""
+    return _is_atom_pairs(s.group, s.index_pairs())
+
+
+def _is_atom_pairs(group: AbelianGroup, pairs) -> bool:
+    """``is_atom`` on sorted index pairs.  By the module's lemma one
+    quotient by the first support element decides it; for 0, (0) * 0^-1 is
+    empty, and 0 * T leaves the zero-sum T.  One pass over the pairs
+    accumulates sigma(s) and the subsequence-sum mask of s with one copy of
+    its first element left out."""
     if not pairs:
         return False
-    group = s.group
     add = group.add_table()
     size = group.order()
     steps = group.translation_steps()
@@ -189,16 +205,17 @@ def enumerate_atoms(
     except BudgetExceededError as e:
         raise BudgetExceededError(e.limit, e.used, phase="enumerate_atoms") from e
 
-    atoms = []
-    if 0 in sup_indices and cap >= 1:
-        atoms.append(Sequence._from_index_pairs(group, ((0, 1),)))
+    atoms = [((0, 1),)] if 0 in sup_indices else []
     for t in raw:
-        counts: dict[int, int] = {}
-        for i in t:
-            counts[i] = counts.get(i, 0) + 1
-        seq = Sequence._from_index_pairs(group, tuple(sorted(counts.items())))
-        if is_atom(seq):  # guard against pruning bugs; by the lemma it drops nothing
-            atoms.append(seq)
+        pairs, m = [], 0  # the runs of the non-decreasing tuple t
+        for i, j in zip(t, (*t[1:], -1)):
+            m += 1
+            if i != j:
+                pairs.append((i, m))
+                m = 0
+        # guard against pruning bugs; by the lemma it drops nothing
+        if _is_atom_pairs(group, pairs):
+            atoms.append(tuple(pairs))
     return AtomSet(group, [group.element(i) for i in sup_indices], atoms)
 
 

@@ -150,12 +150,13 @@ def _zero_free_levels(aset: AtomSet, bound: int, bud: Budget):
     padded = bool(aset.support) and aset.group.index_of(aset.support[0]) == 0
     packed_by_len: dict[int, list[int]] = {}
     atoms_by_len = [0] * (bound + 1)
-    for atom, sp in zip(aset.atoms, aset.atoms_sparse):
-        if len(atom) <= bound:
-            atoms_by_len[len(atom)] += 1
-        if len(atom) > 1:
+    for sp in aset.atoms_sparse:
+        n = sum(m for _, m in sp)
+        if n <= bound:
+            atoms_by_len[n] += 1
+        if n > 1:
             packed = sum(m << (width * (size - 1 - i)) for i, m in sp)
-            packed_by_len.setdefault(len(atom), []).append(packed)
+            packed_by_len.setdefault(n, []).append(packed)
     levels: list[dict[int, int]] = [{} for _ in range(bound + 1)]
     levels[0][0] = 1
     all_zero_sum = 0  # zero-sum sequences of length n, zero-padded ones included
@@ -269,7 +270,7 @@ def enumerate_system(
             found = _first_witnesses(aset, bound, bud)
         else:
             counts = [0] * group.order()
-            private = AtomSet(group, aset.support, aset.atoms)
+            private = AtomSet(group, aset.support, aset.atoms_sparse)
 
             def visit(depth, chosen):
                 bud.spend()
@@ -333,19 +334,15 @@ def _tau_walk(aset: AtomSet):
     and ``items`` and ``lengths`` are the sparse vectors and the lengths of
     the atoms in that order.  Computed once per atom set."""
     if aset._tau_walk is None:
-        sparse, atoms = aset.atoms_sparse, aset.atoms
-        order = tuple(sorted(range(len(atoms)), key=lambda i: (-len(atoms[i]), sparse[i])))
+        sparse = aset.atoms_sparse
+        lengths = [sum(m for _, m in sp) for sp in sparse]
+        order = tuple(sorted(range(len(sparse)), key=lambda i: (-lengths[i], sparse[i])))
         aset._tau_walk = (
             order,
             tuple(sparse[i] for i in order),
-            tuple(len(atoms[i]) for i in order),
+            tuple(lengths[i] for i in order),
         )
     return aset._tau_walk
-
-
-def _tau_order(aset: AtomSet) -> tuple[int, ...]:
-    """Oracle enumeration order: longest atoms first, then by encoding."""
-    return _tau_walk(aset)[0]
 
 
 def _orbit_minimal_flags(aset: AtomSet) -> list[bool]:
@@ -567,7 +564,8 @@ def extremal_elasticity_decomposition(b: Sequence, budget=None):
     if Fraction(ls.max, ls.min) != Fraction(d, 2):
         return None
     aset = atom_set_for(group, b.support())
-    longest = AtomSet(group, aset.support, [a for a in aset.atoms if len(a) == d])
+    top = [sp for sp in aset.atoms_sparse if sum(m for _, m in sp) == d]
+    longest = AtomSet(group, aset.support, top)
     _, zs = index_factorizations(b, longest, budget=bud)
     for z in sorted(z[::-1] for z in zs):
         pairs = _negation_pairs(longest.atoms[i] for i in z)

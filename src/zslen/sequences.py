@@ -206,27 +206,11 @@ class Sequence:
         pairs = tuple(sorted((neg[i], m) for i, m in self._pairs))
         return Sequence._from_index_pairs(self.group, pairs)
 
-    def negate(self) -> "Sequence":
-        return -self
-
     def __pow__(self, k: int) -> "Sequence":
         if k < 0:
             raise ValueError("negative power of a sequence")
         pairs = tuple((i, m * k) for i, m in self._pairs) if k else ()
         return Sequence._from_index_pairs(self.group, pairs)
-
-
-def sigma(s: Sequence) -> tuple:
-    return s.sigma()
-
-
-def product(*seqs: Sequence) -> Sequence:
-    if not seqs:
-        raise ValueError("product needs at least one sequence")
-    acc = seqs[0]
-    for s in seqs[1:]:
-        acc = acc * s
-    return acc
 
 
 _TERM_RE = re.compile(r"^\(([^()]*)\)(?:\^(\d+))?$")

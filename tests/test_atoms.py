@@ -443,3 +443,58 @@ def test_independence_shape_of_squarefree_atoms():
                 for e in rest:
                     total = g.add(total, e)
                 assert g.is_independent(rest) and total == elems[omit]
+
+
+@pytest.mark.parametrize("spec", GROUPS_UP_TO_16)
+def test_atom_set_stores_sorted_pairs_and_builds_matching_sequences(spec):
+    # atoms_sparse is the stored form, strictly increasing in the order of
+    # Sequence.sort_key; the Sequences built from it match it position by position
+    g = parse_group(spec)
+    elems = g.elements()
+    for support in (None, elems[::2], elems[: len(elems) // 2 + 1]):
+        aset = enumerate_atoms(g, support)
+        keys = [(sum(m for _, m in sp), sp) for sp in aset.atoms_sparse]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        assert aset.max_len == (keys[-1][0] if keys else 0)
+        assert len(aset.atoms) == len(aset) == len(aset.atoms_sparse)
+        for a, sp in zip(aset.atoms, aset.atoms_sparse):
+            assert a.index_pairs() == sp
+
+
+@pytest.mark.parametrize("spec,step", [("C3xC3", 1), ("C2xC4", 2), ("C7", 1), ("C2xC2xC4", 1)])
+def test_atom_guard_runs_once_per_emitted_tuple(monkeypatch, spec, step):
+    # one guard call per tuple the search emits, on that tuple's runs
+    g = parse_group(spec)
+    support = g.elements()[::step]
+    sup = sorted({g.index_of(e) for e in support} - {0})
+    emitted = _atom_index_lists(g, sup, g.order(), Budget())
+    guarded = []
+    guard = atoms._is_atom_pairs
+
+    def counted(group, pairs):
+        guarded.append(tuple(pairs))
+        return guard(group, pairs)
+
+    monkeypatch.setattr(atoms, "_is_atom_pairs", counted)
+    aset = enumerate_atoms(g, support)
+    assert guarded == [tuple((i, t.count(i)) for i in sorted(set(t))) for t in emitted]
+    assert sorted(guarded) == sorted(sp for sp in aset.atoms_sparse if sp != ((0, 1),))
+
+
+def test_atom_guard_verdict_decides_what_is_kept(monkeypatch):
+    # the guard's answer is what enumerate_atoms keeps; only the zero atom,
+    # which is never emitted by the search, bypasses it
+    g = parse_group("C2xC4")
+    monkeypatch.setattr(atoms, "_is_atom_pairs", lambda group, pairs: False)
+    aset = enumerate_atoms(g)
+    assert aset.atoms_sparse == (((0, 1),),) and aset.max_len == 1
+
+
+def test_is_atom_reads_the_pairs_check(monkeypatch):
+    g = parse_group("C2xC4")
+    s = parse_sequence(g, "(0,1)^3 (1,0) (1,1)")
+    seen = []
+    monkeypatch.setattr(
+        atoms, "_is_atom_pairs", lambda group, pairs: seen.append((group, pairs)) or True
+    )
+    assert is_atom(s) and seen == [(g, s.index_pairs())]

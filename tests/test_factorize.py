@@ -109,7 +109,7 @@ def per_atom_length_mask(aset, counts, budget):
 
 def fresh_copy(aset):
     """The same atoms in a new AtomSet, with an empty memo and no tables."""
-    return AtomSet(aset.group, aset.support, aset.atoms)
+    return AtomSet(aset.group, aset.support, aset.atoms_sparse)
 
 
 def decoded_memo(aset):

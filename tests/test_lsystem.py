@@ -20,7 +20,6 @@ from zslen.sequences import Sequence, parse_sequence
 from zslen.factorize import LengthSet, length_mask, length_set, parse_length_set
 from zslen.lsystem import (
     _orbit_minimal_flags,
-    _tau_order,
     _tau_walk,
     check_additively_closed,
     decide_length_set,
@@ -367,13 +366,13 @@ ORACLE_TARGETS = {
 @functools.lru_cache(maxsize=None)
 def brute_products(spec, m):
     """Every product of m atoms over all of G as (L mask, multiplicity
-    vector), in the oracle's order: multisets of ``_tau_order`` positions,
+    vector), in the oracle's order: multisets of ``_tau_walk`` order positions,
     lexicographically, with no pruning and no orbit reduction."""
     group = parse_group(spec)
     aset = atom_set_for(group)
     bud = Budget()
     out = []
-    for combo in itertools.combinations_with_replacement(_tau_order(aset), m):
+    for combo in itertools.combinations_with_replacement(_tau_walk(aset)[0], m):
         counts = [0] * group.order()
         for k in combo:
             for i, c in aset.atoms_sparse[k]:
@@ -479,7 +478,6 @@ def test_tau_walk_computed_once_per_atom_set(monkeypatch):
     group = parse_group("C3xC3")
     aset = atom_set_for(group)
     walk = _tau_walk(aset)
-    assert _tau_order(aset) == walk[0]
     calls = []
 
     def counted(*args, **kwargs):
@@ -816,3 +814,29 @@ def test_trivial_and_tiny_groups():
     assert rep.verdict == "CLOSED-AT-BOUND"
     res = decide_length_set(g1, LengthSet([4]))
     assert res.realizable is True
+
+
+
+@pytest.mark.parametrize("query", ["decide", "closed", "system", "system_factors", "length_set"])
+def test_cold_queries_build_no_atom_sequences(monkeypatch, query):
+    # the oracle, the closure scan, the system passes and the length kernel
+    # read the atoms' index pairs only; Sequences are built on the first
+    # read of AtomSet.atoms, to show or return atoms
+    monkeypatch.setattr(atoms, "_ATOMSET_CACHE", {})
+    group = parse_group("C2xC4")
+    if query == "decide":
+        group = parse_group("C3xC3")
+        assert decide_length_set(group, LengthSet([2, 3, 4, 5])).realizable is not None
+    elif query == "closed":
+        assert check_additively_closed(group, bound=12).verdict == "NOT-CLOSED"
+    elif query == "system":
+        assert enumerate_system(group, bound=10).sets
+    elif query == "system_factors":
+        assert enumerate_system(group, bound_kind="num_atom_factors", bound=2).sets
+    else:
+        b = parse_sequence(group, "(0,1)^3 (1,0) (1,1) (0,3)^3 (1,0) (1,3)")
+        assert length_set(b).values == (2, 4, 5)
+    cached = list(atoms._ATOMSET_CACHE.values())
+    assert cached and all(aset._atoms is None for aset in cached)
+    aset = cached[0]
+    assert [a.index_pairs() for a in aset.atoms] == list(aset.atoms_sparse)
