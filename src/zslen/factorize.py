@@ -401,20 +401,19 @@ def length_mask(aset: AtomSet, counts: tuple[int, ...], budget: Budget) -> int:
 
 
 def length_set(b: Sequence, atoms: AtomSet | None = None, budget=None) -> LengthSet:
-    """The set of factorization lengths L(B), without materializing Z(B)."""
+    """The set of factorization lengths L(B), without materializing Z(B).
+    Running out of budget raises :class:`BudgetExceededError` with phase
+    ``length_set``."""
     _require_zero_sum(b)
     aset = _resolve_atoms(b, atoms)
-    mask = length_mask(aset, b.counts(), as_budget(budget))
+    try:
+        mask = length_mask(aset, b.counts(), as_budget(budget))
+    except BudgetExceededError as e:
+        raise BudgetExceededError(e.limit, e.used, phase="length_set") from e
     return LengthSet.from_mask(mask)
 
 
-# hook answers for walk_atom_multisets
-SKIP = 1  # visit: leave out the node's children; take: pass over the item
-STOP = 2  # visit: end the walk
-END = 3  # take: pass over the item and every later one at this node
-
-
-def walk_atom_multisets(items, counts: list[int], visit, take=None) -> bool:
+def walk_atom_multisets(items, counts: list[int], visit) -> None:
     """Depth-first walk over the multisets of ``items``.
 
     ``items`` are sparse ``(index, multiplicity)`` vectors.  A multiset is
@@ -422,44 +421,28 @@ def walk_atom_multisets(items, counts: list[int], visit, take=None) -> bool:
     positions.  Each chosen item is added into ``counts`` (a list, restored
     on return), so at every node it holds its starting value plus the sum
     of the chosen items.
-    ``visit(depth, chosen)`` runs at every node, the empty root first, and
-    returns None to descend, SKIP to leave out the node's children or STOP
-    to end the walk.  Before item ``p`` joins the node ``chosen`` of depth
-    ``depth``, ``take(p, depth, chosen)`` returns None to add it, SKIP to
-    pass over it or END to pass over it and every later item.  Returns
-    True when a visit stopped the walk.
+    ``visit(depth, chosen)`` is the one hook: it runs at every node, the
+    empty root first, and returns whether to walk the node's children.
     """
     chosen: list[int] = []
     n = len(items)
 
-    def rec(pos: int, depth: int) -> bool:
+    def rec(pos: int, depth: int) -> None:
         # the node at ``depth`` has been visited; walk its children
         child = depth + 1
         for p in range(pos, n):
-            if take is not None:
-                t = take(p, depth, chosen)
-                if t is not None:
-                    if t == SKIP:
-                        continue
-                    break  # END
             sp = items[p]
             for i, m in sp:
                 counts[i] += m
             chosen.append(p)
-            got = visit(child, chosen)
-            if got is None:
-                stop = rec(p, child)
-            else:
-                stop = got == STOP
+            if visit(child, chosen):
+                rec(p, child)
             chosen.pop()
             for i, m in sp:
                 counts[i] -= m
-            if stop:
-                return True
-        return False
 
-    got = visit(0, chosen)
-    return got == STOP or (got is None and rec(0, 0))
+    if visit(0, chosen):
+        rec(0, 0)
 
 
 def factorization_index_lists(

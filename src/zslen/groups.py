@@ -88,7 +88,9 @@ class AbelianGroup:
 
     Instances are immutable and hashable; any list of orders is accepted
     and normalized, so equal groups compare equal regardless of input
-    presentation.  The empty chain is the trivial group.
+    presentation.  The empty chain is the trivial group.  The element
+    tables are built on construction; the automorphism generators and the
+    translation steps on first use.
     """
 
     __slots__ = (
@@ -104,13 +106,9 @@ class AbelianGroup:
 
     def __init__(self, invariant_factors=()):
         object.__setattr__(self, "invariant_factors", _canonical_factors(invariant_factors))
-        object.__setattr__(self, "_elements", None)
-        object.__setattr__(self, "_index", None)
-        object.__setattr__(self, "_add", None)
-        object.__setattr__(self, "_neg", None)
-        object.__setattr__(self, "_orders", None)
         object.__setattr__(self, "_auto_gens", None)
         object.__setattr__(self, "_shifts", None)
+        self._build_tables()
 
     def __setattr__(self, name, value):
         raise AttributeError("AbelianGroup is immutable")
@@ -175,14 +173,10 @@ class AbelianGroup:
 
     def elements(self) -> tuple[tuple, ...]:
         """All elements in lexicographic coordinate order."""
-        if self._elements is None:
-            self._build_tables()
         return self._elements
 
     def index_of(self, a) -> int:
         """Index of element a in the canonical order; validates membership."""
-        if self._elements is None:
-            self._build_tables()
         try:
             return self._index[tuple(a)]
         except (KeyError, TypeError):
@@ -192,8 +186,6 @@ class AbelianGroup:
         return self.elements()[i]
 
     def contains(self, a) -> bool:
-        if self._elements is None:
-            self._build_tables()
         try:
             return tuple(a) in self._index
         except TypeError:
@@ -202,19 +194,15 @@ class AbelianGroup:
     # index arithmetic, used by enumeration code
 
     def add_index(self, i: int, j: int) -> int:
-        return self.add_table()[i * len(self._elements) + j]
+        return self._add[i * len(self._elements) + j]
 
     def neg_index(self, i: int) -> int:
-        return self.neg_table()[i]
+        return self._neg[i]
 
     def add_table(self):
-        if self._elements is None:
-            self._build_tables()
         return self._add
 
     def neg_table(self):
-        if self._elements is None:
-            self._build_tables()
         return self._neg
 
     def translation_steps(self) -> tuple[tuple[tuple[int, int, int, int], ...], ...]:
@@ -265,20 +253,16 @@ class AbelianGroup:
         return self._elements[self._add[i * len(self._elements) + j]]
 
     def neg(self, a) -> tuple:
-        return self.elements()[self.neg_table()[self.index_of(a)]]
+        return self._elements[self._neg[self.index_of(a)]]
 
     def element_order(self, a) -> int:
         """Least k >= 1 with k*a = 0."""
-        if self._orders is None:
-            self._build_tables()
         return self._orders[self.index_of(a)]
 
     # -- spans, independence, bases -----------------------------------------
 
     def span_indices(self, indices) -> frozenset[int]:
         """Subgroup generated by the given element indices, as an index set."""
-        if self._elements is None:
-            self._build_tables()
         size = len(self._elements)
         add = self._add
         closed = {0}
@@ -330,8 +314,6 @@ class AbelianGroup:
         """
         if self._auto_gens is not None:
             return self._auto_gens
-        if self._elements is None:
-            self._build_tables()
         ns = self.invariant_factors
         r = len(ns)
         elems = self._elements

@@ -18,6 +18,13 @@ leading atom is restricted to atoms that are minimal in their automorphism
 orbit, which never discards that witness: an automorphism lowering its
 leading atom would map it to a witness earlier in the order.
 
+The oracle owns this walk as one recursive loop over candidate atoms.  Each
+candidate passes, in order: the orbit filter (leading atom only), one
+budget node, the capacity bound (a failure ends the loop, since later atoms
+are no longer), the pair rule (from the third atom on), and the prefix test
+on the grown product (from the second atom on).  A product of m atoms
+spends one more node, and its set of lengths is compared with the target.
+
 Every potentially explosive operation takes a node budget; exhausting it
 yields a typed inconclusive outcome, never a wrong boolean.
 
@@ -45,9 +52,6 @@ from functools import reduce
 from .budget import Budget, BudgetExceededError, as_budget
 from .atoms import AtomSet, atom_set_for, davenport
 from .factorize import (
-    END,
-    SKIP,
-    STOP,
     LengthSet,
     _CODES,
     _field_width,
@@ -276,7 +280,7 @@ def enumerate_system(
                 bud.spend()
                 key = tuple(counts)
                 found.setdefault(length_mask(private, key, bud), key)
-                return SKIP if depth == bound else None
+                return depth < bound
 
             walk_atom_multisets(aset.atoms_sparse[::-1], counts, visit)
     except BudgetExceededError as e:
@@ -409,9 +413,9 @@ def decide_length_set(
     counts = [0] * size
     totals = [0] * (m + 1)  # length of the partial product, by depth
     flags = _orbit_minimal_flags(aset)
-    witness_counts: list[tuple[int, ...]] = []
     width = len(items)
     compatible: dict[int, bool] = {}  # c * width + p -> the pair rule, c <= p
+    chosen: list[int] = []
 
     def pair_ok(c, p):
         both = [0] * size
@@ -421,55 +425,63 @@ def decide_length_set(
             both[i] += k
         return not (length_mask(aset, tuple(both), bud) << (m - 2)) & ~tmask
 
-    def take(p, depth, chosen):
-        if depth == 0 and not flags[order[p]]:
-            return SKIP
-        bud.spend()
-        # capacity: the largest reachable max-length after adding the
-        # remaining atoms cannot fall short of max(target); atoms are
-        # walked longest-first, so the bound only shrinks from here (the
-        # zero atom is the only atom of length 1)
-        nzeros = counts[0] + (lengths[p] == 1)
-        ntotal = totals[depth] + lengths[p]
-        if nzeros + (ntotal - nzeros + (m - depth - 1) * d_max) // 2 < x_max:
-            return END
-        if depth >= 2:
-            # the pair rule against every atom chosen so far; at depth 1
-            # the visit's prefix test of the two atoms is the same check
-            for c in chosen:
-                key = c * width + p
-                ok = compatible.get(key)
-                if ok is None:
-                    ok = compatible[key] = pair_ok(c, p)
+    def walk(pos, depth):
+        # the witness counts below the node ``chosen`` of ``depth``, or None
+        child = depth + 1
+        for p in range(pos, width):
+            if depth == 0 and not flags[order[p]]:
+                continue
+            bud.spend()
+            # capacity: the largest reachable max-length after adding the
+            # remaining atoms cannot fall short of max(target); atoms are
+            # walked longest-first, so the bound only shrinks from here (the
+            # zero atom is the only atom of length 1)
+            nzeros = counts[0] + (lengths[p] == 1)
+            ntotal = totals[depth] + lengths[p]
+            if nzeros + (ntotal - nzeros + (m - child) * d_max) // 2 < x_max:
+                return None
+            if depth >= 2:
+                # the pair rule against every atom chosen so far; at depth 1
+                # the prefix test of the two atoms is the same check
+                for c in chosen:
+                    key = c * width + p
+                    ok = compatible.get(key)
+                    if ok is None:
+                        ok = compatible[key] = pair_ok(c, p)
+                    if not ok:
+                        break
                 if not ok:
-                    return SKIP
-        totals[depth + 1] = ntotal
+                    continue
+            totals[child] = ntotal
+            sp = items[p]
+            for i, k in sp:
+                counts[i] += k
+            chosen.append(p)
+            # the prefix test: (m - child) + L(P) is contained in the target
+            mask = length_mask(aset, tuple(counts), bud) if child >= 2 else 0
+            if not (mask << (m - child)) & ~tmask:
+                if child < m:
+                    found = walk(p, child)
+                    if found is not None:
+                        return found
+                else:
+                    bud.spend()
+                    if child == 1:  # m == 1: no prefix test ran
+                        mask = length_mask(aset, tuple(counts), bud)
+                    if mask == tmask:
+                        return tuple(counts)
+            chosen.pop()
+            for i, k in sp:
+                counts[i] -= k
         return None
 
-    def visit(depth, chosen):
-        mask = None
-        if depth >= 2:
-            mask = length_mask(aset, tuple(counts), bud)
-            if (mask << (m - depth)) & ~tmask:
-                return SKIP
-        if depth < m:
-            return None
-        bud.spend()
-        if mask is None:
-            mask = length_mask(aset, tuple(counts), bud)
-        if mask != tmask:
-            return SKIP
-        witness_counts.append(tuple(counts))
-        return STOP
-
     try:
-        walk_atom_multisets(items, counts, visit, take)
+        found = walk(0, 0)
     except BudgetExceededError:
-        if not witness_counts:
-            return DecideResult(None, None, bud.used)
-    if not witness_counts:
+        return DecideResult(None, None, bud.used)
+    if found is None:
         return DecideResult(False, None, bud.used)
-    pairs = tuple((i, c) for i, c in enumerate(witness_counts[0]) if c)
+    pairs = tuple((i, c) for i, c in enumerate(found) if c)
     return DecideResult(True, Sequence._from_index_pairs(group, pairs), bud.used)
 
 
@@ -501,22 +513,20 @@ def rho_k(
     flags = _orbit_minimal_flags(aset)
     best = 0
 
-    def take(p, depth, chosen):
-        if depth == 0 and not flags[order[p]]:
-            return SKIP
-        bud.spend()
-        return None
-
     def visit(depth, chosen):
         nonlocal best
+        if depth:
+            if depth == 1 and not flags[order[chosen[0]]]:
+                return False
+            bud.spend()
         if depth < k:
-            return None
+            return True
         bud.spend()
         best = max(best, length_mask(aset, tuple(counts), bud).bit_length() - 1)
-        return SKIP
+        return False
 
     try:
-        walk_atom_multisets(items, counts, visit, take)
+        walk_atom_multisets(items, counts, visit)
     except BudgetExceededError as e:
         raise BudgetExceededError(e.limit, e.used, phase="rho_k") from e
     return best

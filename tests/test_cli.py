@@ -205,10 +205,10 @@ def test_verify_system_pass_runs_under_the_budget(capsys):
 @pytest.mark.parametrize(
     "scenario, phase",
     [
-        ("lemma-3.5", ""),
-        ("lem-length-r5", ""),
-        ("lemma-3.4-light", ""),
-        ("lemma-3.3", ""),
+        ("lemma-3.5", " in length_set"),
+        ("lem-length-r5", " in length_set"),
+        ("lemma-3.4-light", " in length_set"),
+        ("lemma-3.3", " in length_set"),
         ("prop-3.9-witnesses", " in decide_length_set"),
     ],
 )
@@ -239,6 +239,18 @@ def test_atoms_budget_exhaustion_names_the_phase(capsys):
     code, out, err = run_cli(capsys, "atoms", "--group", "C4xC4", "--budget", "100")
     assert code == 3 and out == ""
     assert err.startswith("error: budget exhausted in enumerate_atoms:")
+
+
+def test_lengths_budget_exhaustion_names_the_phase(capsys, monkeypatch):
+    # a fresh atom set, so each new memo entry of L(B) spends one node
+    monkeypatch.setattr(atoms, "_ATOMSET_CACHE", {})
+    code, out, err = run_cli(
+        capsys, "lengths", "--group", "C3xC3",
+        "--seq", "(0,1)^3 (0,2)^3 (1,0) (1,1) (1,2)^2 (2,1)^4 (2,2)^3",
+        "--budget", "5",
+    )
+    assert code == 3 and out == ""
+    assert err == "error: budget exhausted in length_set: 6 nodes used, limit 5\n"
 
 
 def test_rho_budget_exhaustion_names_the_phase(capsys):

@@ -96,6 +96,45 @@ def test_system_num_atom_factors_bound():
     assert LengthSet([2, 3]) in system
 
 
+NUM_ATOM_FACTORS_PINS = [
+    ("C3", 6, 384, [
+        ((0,), ""), ((1,), "(2)^3"), ((2,), "(2)^6"), ((2, 3), "(1)^3 (2)^3"),
+        ((3,), "(2)^9"), ((3, 4), "(1)^3 (2)^6"), ((4,), "(2)^12"),
+        ((4, 5), "(1)^3 (2)^9"), ((4, 5, 6), "(1)^6 (2)^6"), ((5,), "(2)^15"),
+        ((5, 6), "(1)^3 (2)^12"), ((5, 6, 7), "(1)^6 (2)^9"), ((6,), "(2)^18"),
+        ((6, 7), "(1)^3 (2)^15"), ((6, 7, 8), "(1)^6 (2)^12"),
+        ((6, 7, 8, 9), "(1)^9 (2)^9"),
+    ]),
+    ("C2xC4", 3, 17_077, [
+        ((0,), ""),
+        ((1,), "(0,3)^3 (1,1) (1,2)"),
+        ((2,), "(0,3)^3 (1,1)^5 (1,2)"),
+        ((2, 3), "(0,3)^6 (1,1)^2 (1,2)^2"),
+        ((2, 3, 4), "(0,1)^3 (0,3)^3 (1,0) (1,1)^2 (1,2)"),
+        ((2, 4), "(0,1)^4 (0,3)^3 (1,1) (1,2)"),
+        ((2, 4, 5), "(0,1)^3 (0,3)^3 (1,1) (1,2)^2 (1,3)"),
+        ((3,), "(0,3)^3 (1,1)^9 (1,2)"),
+        ((3, 4), "(0,3)^9 (1,1)^3 (1,2)^3"),
+        ((3, 4, 5), "(0,3)^9 (1,0) (1,1)^2 (1,2)^2 (1,3)"),
+        ((3, 4, 5, 6), "(0,1)^3 (0,3)^6 (1,1)^2 (1,2)^3 (1,3)"),
+        ((3, 4, 5, 6, 7), "(0,1)^3 (0,3)^4 (1,0)^2 (1,1)^2 (1,2) (1,3)^3"),
+        ((3, 4, 6), "(1,0)^2 (1,1)^4 (1,2)^2 (1,3)^4"),
+        ((3, 5), "(0,1)^4 (0,3)^7 (1,1) (1,2)"),
+        ((3, 5, 6), "(0,1)^3 (0,3)^7 (1,1) (1,2)^2 (1,3)"),
+    ]),
+]
+
+
+@pytest.mark.parametrize("spec,bound,nodes,sets", NUM_ATOM_FACTORS_PINS)
+def test_system_num_atom_factors_pins(monkeypatch, spec, bound, nodes, sets):
+    # the spend and every first witness of the walk over atom products
+    monkeypatch.setattr(atoms, "_ATOMSET_CACHE", {})
+    bud = Budget()
+    system = enumerate_system(parse_group(spec), None, "num_atom_factors", bound, bud)
+    assert [(ls.values, str(w)) for ls, w in system.sets] == sets
+    assert bud.used == nodes
+
+
 def test_system_num_atom_factors_leaves_length_memo_empty(monkeypatch):
     # the walk's length_mask calls run on a private copy of the atom set
     monkeypatch.setattr(atoms, "_ATOMSET_CACHE", {})
@@ -443,6 +482,27 @@ def test_decide_pair_rule_node_pins(monkeypatch, spec, literal, realizable, node
     assert res.realizable is realizable and res.nodes == nodes
 
 
+@pytest.mark.parametrize(
+    "spec,literal,nodes,witness",
+    [
+        ("C4xC4", "2,5", 31_152, "(0,1)^2 (0,3)^2 (1,0)^2 (2,2)^2 (3,0)^2"),
+        ("C2xC6", "3,4,5,6,7,8,9,10", 34_484, None),
+        ("C7", "3,4,5,6,7,8,9", 3_338, None),
+        ("C3xC3", "3,4,5,6,7", 638, "(0,1)^3 (1,0)^2 (1,1)^2 (1,2)^2 (2,0)^2 (2,1)^2 (2,2)^2"),
+        ("C4xC4", "2,3,4,5,6,7", 1_108,
+         "(0,1) (0,3) (1,0) (1,3)^3 (2,1)^2 (2,3)^2 (3,0) (3,1)^3"),
+    ],
+)
+def test_decide_cold_node_and_witness_pins(monkeypatch, spec, literal, nodes, witness):
+    # every rule of the walk spends in a fixed place, so a cold decision's
+    # node count and its first witness are exact
+    monkeypatch.setattr(atoms, "_ATOMSET_CACHE", {})
+    res = decide_length_set(parse_group(spec), parse_length_set(literal))
+    assert res.nodes == nodes
+    assert res.realizable is (witness is not None)
+    assert (res.witness if witness is None else str(res.witness)) == witness
+
+
 def test_decide_pair_checks_spend_from_the_decision_budget(monkeypatch):
     group, target = parse_group("C2xC6"), LengthSet([3, 8])
     calls = []  # (from a pair check, budget used before, after or None)
@@ -544,6 +604,18 @@ def test_rho_values():
         assert rho_k(g33, k, symmetry=True) == values[k - 1]
     with pytest.raises(ValueError):
         rho_k(parse_group("C2"), 2)
+
+
+@pytest.mark.parametrize(
+    "spec,k,value,nodes",
+    [("C3xC3", 3, 7, 14_337), ("C2xC4", 3, 7, 8_524), ("C3xC3", 4, 10, 219_517),
+     ("C2xC6", 2, 7, 15_623)],
+)
+def test_rho_k_cold_node_pins(monkeypatch, spec, k, value, nodes):
+    monkeypatch.setattr(atoms, "_ATOMSET_CACHE", {})
+    bud = Budget()
+    assert rho_k(parse_group(spec), k, bud) == value
+    assert bud.used == nodes
 
 
 def test_elasticity():
