@@ -30,7 +30,7 @@ until ``AtomSet.atoms`` is read, to show or return atoms.
 
 from __future__ import annotations
 
-from .budget import Budget, BudgetExceededError, as_budget
+from .budget import Budget, as_budget, phase
 from .groups import AbelianGroup, _factorint
 from .sequences import Sequence
 
@@ -200,10 +200,8 @@ def enumerate_atoms(
     cap = max_len if max_len is not None else group.order()
     nonzero = [i for i in sup_indices if i != 0]
 
-    try:
+    with phase("enumerate_atoms"):
         raw = _atom_index_lists(group, nonzero, cap, bud)
-    except BudgetExceededError as e:
-        raise BudgetExceededError(e.limit, e.used, phase="enumerate_atoms") from e
 
     atoms = [((0, 1),)] if 0 in sup_indices else []
     for t in raw:

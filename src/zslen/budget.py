@@ -11,6 +11,8 @@ the same call on a fresh one.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 DEFAULT_BUDGET = 5_000_000
 DEFAULT_FACTORIZATION_CAP = 200_000
 
@@ -51,6 +53,15 @@ class Budget:
 
 
 def as_budget(budget) -> Budget:
-    if budget is None or isinstance(budget, Budget):
-        return budget if isinstance(budget, Budget) else Budget(None)
-    return Budget(int(budget))
+    if isinstance(budget, Budget):
+        return budget
+    return Budget(None if budget is None else int(budget))
+
+
+@contextmanager
+def phase(name: str):
+    """Name the phase of a :class:`BudgetExceededError` raised inside."""
+    try:
+        yield
+    except BudgetExceededError as e:
+        raise BudgetExceededError(e.limit, e.used, phase=name) from e

@@ -23,7 +23,7 @@ from bisect import bisect_left
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
-from .budget import Budget, BudgetExceededError, CapExceededError, as_budget
+from .budget import Budget, CapExceededError, as_budget, phase
 from .atoms import AtomSet, atom_set_for
 from .sequences import Sequence
 
@@ -406,10 +406,8 @@ def length_set(b: Sequence, atoms: AtomSet | None = None, budget=None) -> Length
     ``length_set``."""
     _require_zero_sum(b)
     aset = _resolve_atoms(b, atoms)
-    try:
+    with phase("length_set"):
         mask = length_mask(aset, b.counts(), as_budget(budget))
-    except BudgetExceededError as e:
-        raise BudgetExceededError(e.limit, e.used, phase="length_set") from e
     return LengthSet.from_mask(mask)
 
 
@@ -481,10 +479,8 @@ def factorization_index_lists(
             chosen.pop()
             fit ^= 1 << k
 
-    try:
+    with phase("factorizations"):
         rec(key, (1 << len(packed)) - 1)
-    except BudgetExceededError as e:
-        raise BudgetExceededError(e.limit, e.used, phase="factorizations") from e
     results.sort()
     return results
 
@@ -567,7 +563,7 @@ def catenary_of_parts(zs, budget=None) -> int:
     last, rest = zs[0], list(zs[1:])
     best = [len(last) + len(z) for z in rest]  # above every distance
     answer = 0
-    try:
+    with phase("catenary_distances"):
         while rest:
             for i, z in enumerate(rest):
                 bud.spend()
@@ -578,8 +574,6 @@ def catenary_of_parts(zs, budget=None) -> int:
             answer = max(answer, best[k])
             last = rest.pop(k)
             best.pop(k)
-    except BudgetExceededError as e:
-        raise BudgetExceededError(e.limit, e.used, phase="catenary_distances") from e
     return answer
 
 

@@ -66,7 +66,7 @@ def parse_group(spec: str) -> "AbelianGroup":
     text = spec.strip()
     if not text:
         raise ValueError("empty group spec")
-    parts = re.split(r"[x*]", text) if re.search(r"[xX*]", text) else text.split(",")
+    parts = re.split(r"[xX*]", text) if re.search(r"[xX*]", text) else text.split(",")
     orders = []
     for part in parts:
         part = part.strip()

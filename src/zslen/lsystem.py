@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
-from .budget import Budget, BudgetExceededError, as_budget
+from .budget import Budget, BudgetExceededError, as_budget, phase
 from .atoms import AtomSet, atom_set_for, davenport
 from .factorize import (
     LengthSet,
@@ -109,12 +109,6 @@ class LengthSystem:
 
     def length_sets(self) -> tuple[LengthSet, ...]:
         return tuple(ls for ls, _ in self.sets)
-
-    def witness(self, ls: LengthSet):
-        for got, w in self.sets:
-            if got == ls:
-                return w
-        return None
 
     def __contains__(self, ls: LengthSet) -> bool:
         return any(got == ls for got, _ in self.sets)
@@ -194,10 +188,8 @@ def zero_free_length_masks(aset: AtomSet, bound: int, budget):
     """
     if bound < 0:
         raise ValueError("bound must be >= 0")
-    try:
+    with phase("enumerate_system"):
         levels, fields, _ = _zero_free_levels(aset, bound, as_budget(budget))
-    except BudgetExceededError as e:
-        raise BudgetExceededError(e.limit, e.used, phase="enumerate_system") from e
     for level in levels:
         for key, mask in level.items():
             yield fields.unpack(key.to_bytes(fields.size, "big")), mask
@@ -269,7 +261,7 @@ def enumerate_system(
     aset = atom_set_for(group, support)
     found: dict[int, tuple[int, ...]] = {}  # L mask -> first witness counts
 
-    try:
+    with phase("enumerate_system"):
         if bound_kind == "seq_length":
             found = _first_witnesses(aset, bound, bud)
         else:
@@ -283,8 +275,6 @@ def enumerate_system(
                 return depth < bound
 
             walk_atom_multisets(aset.atoms_sparse[::-1], counts, visit)
-    except BudgetExceededError as e:
-        raise BudgetExceededError(e.limit, e.used, phase="enumerate_system") from e
 
     sets = []
     for mask, wit_counts in found.items():
@@ -525,10 +515,8 @@ def rho_k(
         best = max(best, length_mask(aset, tuple(counts), bud).bit_length() - 1)
         return False
 
-    try:
+    with phase("rho_k"):
         walk_atom_multisets(items, counts, visit)
-    except BudgetExceededError as e:
-        raise BudgetExceededError(e.limit, e.used, phase="rho_k") from e
     return best
 
 
@@ -758,8 +746,8 @@ def minimal_aamp_bound(target: LengthSet, d: int) -> int | None:
 
 @dataclass(frozen=True)
 class SumsetCheck:
-    """One checked sumset with the canonically-first pair producing it and
-    the outcome ('realizable', 'not-realizable', or 'inconclusive')."""
+    """One sumset a closure report lists, with the canonically-first pair
+    producing it and the outcome; the scan lists the 'inconclusive' ones."""
 
     left: LengthSet
     right: LengthSet
@@ -801,7 +789,12 @@ def check_additively_closed(
 
     Distinct sumsets are each decided once, in a canonical order (ascending
     minimum, then values, priority pairs first), and every decision and
-    every product check owns an independent budget.  The scan is
+    every product check owns an independent budget.  Every set of lengths
+    the scan computes, of a product of two witnesses or of an
+    ``extra_sets`` witness, uses the group's atom set, which the system
+    pass built: L(B) does not depend on which atom set covering the
+    support of B is used, so a scan builds one atom set and one length
+    memo, which the oracle shares.  The scan is
     sequential, and each decision runs the orbit-reduced oracle;
     ``threads`` and ``symmetry`` are accepted for compatibility and have
     no effect.  ``budget`` is a node count, a :class:`Budget` or None;
@@ -811,31 +804,23 @@ def check_additively_closed(
     INCONCLUSIVE, and ``exhausted_phase`` is ``enumerate_system`` or
     ``extra_sets``.
     """
-    budget_limit = as_budget(budget).limit
-
-    def exhausted(phase: str, system_size: int) -> ClosureReport:
-        return ClosureReport(
-            group=group,
-            bound=bound,
-            verdict="INCONCLUSIVE",
-            witness_pair=None,
-            failed_sumset=None,
-            inconclusive=(),
-            pairs_checked=0,
-            system_size=system_size,
-            exhausted_phase=phase,
-        )
-
+    limit = as_budget(budget).limit
     try:
-        system = enumerate_system(group, None, "seq_length", bound, budget_limit)
+        system = enumerate_system(group, None, "seq_length", bound, limit)
     except BudgetExceededError:
-        return exhausted("enumerate_system", 0)
-    known: dict[LengthSet, Sequence] = {ls: w for ls, w in system.sets}
+        return ClosureReport(
+            group, bound, "INCONCLUSIVE", None, None, (), 0, 0, "enumerate_system"
+        )
+    size = len(system.sets)
+    aset = atom_set_for(group)  # built by the system pass
+    known: dict[LengthSet, Sequence] = dict(system.sets)
     for ls, w in extra_sets:
         try:
-            got = length_set(w, budget=Budget(budget_limit))
+            got = length_set(w, aset, Budget(limit))
         except BudgetExceededError:
-            return exhausted("extra_sets", len(system.sets))
+            return ClosureReport(
+                group, bound, "INCONCLUSIVE", None, None, (), 0, size, "extra_sets"
+            )
         if got != ls:
             raise ValueError(f"extra set {ls} does not match its witness (L = {got})")
         known.setdefault(ls, w)
@@ -859,62 +844,32 @@ def check_additively_closed(
     )
     tasks = priority_order + rest
 
-    def check_sumset(s: LengthSet) -> SumsetCheck:
-        first = by_sumset[s][0]
+    def check_sumset(s: LengthSet) -> bool | None:
+        # whether s is realizable; None when the oracle ran out of budget
         if s in known:
-            return SumsetCheck(first[0], first[1], s, "realizable")
+            return True
         # product witnesses from every pair producing this sumset; a check
         # that runs out of its budget confirms nothing, and the oracle
         # below still decides the sumset
         for left, right in by_sumset[s]:
-            candidate = known[left] * known[right]
             try:
-                if length_set(candidate, budget=Budget(budget_limit)) == s:
-                    return SumsetCheck(first[0], first[1], s, "realizable")
+                if length_set(known[left] * known[right], aset, Budget(limit)) == s:
+                    return True
             except BudgetExceededError:
                 pass
         # shifted known set: L(0^y B) = y + L(B)
-        for y in range(1, s.min):
-            if LengthSet(v - y for v in s) in known:
-                return SumsetCheck(first[0], first[1], s, "realizable")
-        res = decide_length_set(group, s, budget_limit)
-        if res.realizable is True:
-            return SumsetCheck(first[0], first[1], s, "realizable")
-        if res.realizable is False:
-            return SumsetCheck(first[0], first[1], s, "not-realizable")
-        return SumsetCheck(first[0], first[1], s, "inconclusive")
+        if any(s.shift(-y) in known for y in range(1, s.min)):
+            return True
+        return decide_length_set(group, s, limit).realizable
 
     inconclusive: list[SumsetCheck] = []
-    failed: SumsetCheck | None = None
-    done = 0
-    for s in tasks:
-        sc = check_sumset(s)
-        done += 1
-        if sc.outcome == "not-realizable":
-            failed = sc
-            break
-        if sc.outcome == "inconclusive":
-            inconclusive.append(sc)
-
-    if failed is not None:
-        verdict = "NOT-CLOSED"
-        witness_pair = (failed.left, failed.right)
-        failed_sumset = failed.sumset
-    elif inconclusive:
-        verdict = "INCONCLUSIVE"
-        witness_pair = None
-        failed_sumset = None
-    else:
-        verdict = "CLOSED-AT-BOUND"
-        witness_pair = None
-        failed_sumset = None
-    return ClosureReport(
-        group=group,
-        bound=bound,
-        verdict=verdict,
-        witness_pair=witness_pair,
-        failed_sumset=failed_sumset,
-        inconclusive=tuple(inconclusive),
-        pairs_checked=done,
-        system_size=len(system.sets),
-    )
+    for done, s in enumerate(tasks, 1):
+        realizable = check_sumset(s)
+        if realizable is False:
+            return ClosureReport(
+                group, bound, "NOT-CLOSED", by_sumset[s][0], s, tuple(inconclusive), done, size
+            )
+        if realizable is None:
+            inconclusive.append(SumsetCheck(*by_sumset[s][0], s, "inconclusive"))
+    verdict = "INCONCLUSIVE" if inconclusive else "CLOSED-AT-BOUND"
+    return ClosureReport(group, bound, verdict, None, None, tuple(inconclusive), len(tasks), size)

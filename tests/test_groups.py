@@ -15,6 +15,8 @@ def test_parse_basic_specs():
     assert parse_group("C2xC4").invariant_factors == (2, 4)
     assert parse_group("C3xC3").invariant_factors == (3, 3)
     assert parse_group("c2 x c4").invariant_factors == (2, 4)
+    assert parse_group("C2XC4").invariant_factors == (2, 4)
+    assert parse_group("2X4").invariant_factors == (2, 4)
     assert parse_group("2,4").invariant_factors == (2, 4)
     assert parse_group("C7").invariant_factors == (7,)
 

@@ -19,6 +19,8 @@ from zslen.groups import AbelianGroup, parse_group
 from zslen.sequences import Sequence, parse_sequence
 from zslen.factorize import LengthSet, length_mask, length_set, parse_length_set
 from zslen.lsystem import (
+    ClosureReport,
+    SumsetCheck,
     _orbit_minimal_flags,
     _tau_walk,
     check_additively_closed,
@@ -847,6 +849,36 @@ def test_closure_extra_set_check_runs_under_the_budget(monkeypatch):
     monkeypatch.setattr(atoms, "_ATOMSET_CACHE", {})
     rep = check_additively_closed(g, bound=1, budget=9, extra_sets=extra)
     assert rep.exhausted_phase is None and rep.pairs_checked == 1
+
+
+def test_closure_scan_uses_the_group_atom_set_only(monkeypatch):
+    # the product checks and the extra-set check compute on the atom set
+    # of the system pass, not on one atom set per support
+    monkeypatch.setattr(atoms, "_ATOMSET_CACHE", {})
+    g = parse_group("C3xC3")
+    rep = check_additively_closed(g, bound=12)
+    assert rep.verdict == "CLOSED-AT-BOUND"
+    assert list(atoms._ATOMSET_CACHE) == [(g.invariant_factors, None)]
+
+
+def test_closure_inconclusive_then_not_closed(monkeypatch):
+    # at this budget the oracle leaves {2,3,6} + {2,3,6} undecided, and the
+    # scan goes on to a later sumset that it decides is not realizable
+    monkeypatch.setattr(atoms, "_ATOMSET_CACHE", {})
+    g = parse_group("C9")
+    rep = check_additively_closed(g, bound=12, budget=300_000)
+    undecided = LengthSet([2, 3, 6])
+    assert rep == ClosureReport(
+        group=g,
+        bound=12,
+        verdict="NOT-CLOSED",
+        witness_pair=(LengthSet([2, 5, 6]), LengthSet([2, 5, 6])),
+        failed_sumset=LengthSet([4, 7, 8, 10, 11, 12]),
+        inconclusive=(SumsetCheck(undecided, undecided, undecided + undecided, "inconclusive"),),
+        pairs_checked=28,
+        system_size=44,
+        exhausted_phase=None,
+    )
 
 
 def test_nfold_sumsets():
