@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .budget import (
     DEFAULT_BUDGET,
@@ -50,20 +49,6 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-@dataclass
-class Config:
-    """Runtime limits shared by the subcommands."""
-
-    budget: int = DEFAULT_BUDGET
-    factorization_cap: int = DEFAULT_FACTORIZATION_CAP
-    threads: int = 0  # accepted for compatibility; has no effect
-
-    def __post_init__(self):
-        # --threads 0 meant machine parallelism, so 0 stays accepted
-        if self.budget < 1 or self.factorization_cap < 1 or self.threads < 0:
-            raise ValueError("caps must be >= 1 and thread counts >= 0")
-
-
 def _emit(args, payload: dict, text_lines):
     if args.json:
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
@@ -72,47 +57,29 @@ def _emit(args, payload: dict, text_lines):
             print(line)
 
 
-def _config(args) -> Config:
-    env_budget = os.environ.get("ZSLEN_BUDGET")
-    budget = args.budget if args.budget is not None else (
-        int(env_budget) if env_budget else DEFAULT_BUDGET
-    )
-    return Config(
-        budget=budget,
-        factorization_cap=args.cap,
-        threads=args.threads if args.threads is not None else 0,
-    )
-
-
-def _group(args):
-    return parse_group(args.group)
-
-
-def _seq(args, group):
-    return parse_sequence(group, args.seq)
-
-
 def _support(args, group):
-    if not getattr(args, "support", None):
-        return None
-    return [
-        e for e in (parse_sequence(group, args.support)).support()
-    ]
+    return parse_sequence(group, args.support).support() if args.support else None
 
 
-def _lengths_payload(ls: LengthSet) -> list[int]:
-    return list(ls.values)
+def _seq_payload(seq: Sequence, ls: LengthSet, catenary=None, count=None) -> dict:
+    """The JSON keys that ``lengths``, ``factorize`` and ``catenary`` share."""
+    return {
+        "seq": str(seq),
+        "lengths": list(ls.values),
+        "delta": list(ls.delta()),
+        "catenary": catenary,
+        "num_factorizations": count,
+    }
 
 
 def cmd_atoms(args) -> int:
-    cfg = _config(args)
-    group = _group(args)
+    group = parse_group(args.group)
     support = _support(args, group)
     aset = enumerate_atoms(
         group,
         support,
         max_len=args.max_len,
-        budget=cfg.budget,
+        budget=args.budget,
     )
     capped = args.max_len is not None and args.max_len < group.order()
     payload = {
@@ -132,32 +99,23 @@ def cmd_atoms(args) -> int:
 
 
 def cmd_davenport(args) -> int:
-    cfg = _config(args)
-    group = _group(args)
+    group = parse_group(args.group)
     support = _support(args, group)
     if support is None:
         value = davenport(group)
     else:
-        value = enumerate_atoms(group, support, budget=cfg.budget).max_len
+        value = enumerate_atoms(group, support, budget=args.budget).max_len
     payload = {"group": str(group), "davenport": value}
     _emit(args, payload, [str(value)])
     return EXIT_OK
 
 
 def cmd_factorize(args) -> int:
-    cfg = _config(args)
-    group = _group(args)
-    seq = _seq(args, group)
-    zs = factorizations(seq, cap=cfg.factorization_cap, budget=cfg.budget)
-    ls = LengthSet(len(z) for z in zs)
-    payload = {
-        "seq": str(seq),
-        "lengths": _lengths_payload(ls),
-        "delta": list(ls.delta()),
-        "catenary": None,
-        "num_factorizations": len(zs),
-        "factorizations": [[str(p) for p in z.parts] for z in zs],
-    }
+    group = parse_group(args.group)
+    seq = parse_sequence(group, args.seq)
+    zs = factorizations(seq, cap=args.cap, budget=args.budget)
+    payload = _seq_payload(seq, LengthSet(len(z) for z in zs), count=len(zs))
+    payload["factorizations"] = [[str(p) for p in z.parts] for z in zs]
     lines = [f"{len(zs)} factorizations of {seq}"] + [
         "  " + " * ".join(f"[{p}]" for p in z.parts) for z in zs
     ]
@@ -166,51 +124,34 @@ def cmd_factorize(args) -> int:
 
 
 def cmd_lengths(args) -> int:
-    cfg = _config(args)
-    group = _group(args)
-    seq = _seq(args, group)
-    ls = length_set(seq, budget=cfg.budget)
-    payload = {
-        "seq": str(seq),
-        "lengths": _lengths_payload(ls),
-        "delta": list(ls.delta()),
-        "catenary": None,
-        "num_factorizations": None,
-    }
-    _emit(args, payload, [repr(ls)])
+    group = parse_group(args.group)
+    seq = parse_sequence(group, args.seq)
+    ls = length_set(seq, budget=args.budget)
+    _emit(args, _seq_payload(seq, ls), [repr(ls)])
     return EXIT_OK
 
 
 def cmd_catenary(args) -> int:
-    cfg = _config(args)
-    group = _group(args)
-    seq = _seq(args, group)
-    bud = Budget(cfg.budget)
-    _, zs = index_factorizations(seq, cap=cfg.factorization_cap, budget=bud)
+    group = parse_group(args.group)
+    seq = parse_sequence(group, args.seq)
+    bud = Budget(args.budget)
+    _, zs = index_factorizations(seq, cap=args.cap, budget=bud)
     cat = catenary_of_parts(zs, bud)
-    ls = LengthSet(len(z) for z in zs)
-    payload = {
-        "seq": str(seq),
-        "lengths": _lengths_payload(ls),
-        "delta": list(ls.delta()),
-        "catenary": cat,
-        "num_factorizations": len(zs),
-    }
+    payload = _seq_payload(seq, LengthSet(len(z) for z in zs), cat, len(zs))
     _emit(args, payload, [f"catenary degree {cat} ({len(zs)} factorizations)"])
     return EXIT_OK
 
 
 def cmd_system(args) -> int:
-    cfg = _config(args)
-    group = _group(args)
+    group = parse_group(args.group)
     support = _support(args, group)
-    system = enumerate_system(group, support, args.bound_kind, args.bound, cfg.budget)
+    system = enumerate_system(group, support, args.bound_kind, args.bound, args.budget)
     payload = {
         "group": str(group),
         "bound_kind": system.bound_kind,
         "bound": system.bound,
         "sets": [
-            {"lengths": _lengths_payload(ls), "witness": str(w)}
+            {"lengths": list(ls.values), "witness": str(w)}
             for ls, w in system.sets
         ],
         "count": len(system.sets),
@@ -224,16 +165,15 @@ def cmd_system(args) -> int:
 
 
 def cmd_decide(args) -> int:
-    cfg = _config(args)
-    group = _group(args)
+    group = parse_group(args.group)
     target = parse_length_set(args.set)
-    res = decide_length_set(group, target, cfg.budget)
+    res = decide_length_set(group, target, args.budget)
     verdict = {True: "realizable", False: "not realizable", None: "inconclusive"}[
         res.realizable
     ]
     payload = {
         "group": str(group),
-        "set": _lengths_payload(target),
+        "set": list(target.values),
         "verdict": verdict,
         "witness": str(res.witness) if res.witness is not None else None,
     }
@@ -249,26 +189,25 @@ def cmd_decide(args) -> int:
 
 
 def cmd_closed(args) -> int:
-    cfg = _config(args)
-    group = _group(args)
-    report = check_additively_closed(group, bound=args.bound, budget=cfg.budget)
+    group = parse_group(args.group)
+    report = check_additively_closed(group, bound=args.bound, budget=args.budget)
     payload = {
         "group": str(group),
         "bound": report.bound,
         "verdict": report.verdict,
         "witness_pair": (
-            [_lengths_payload(report.witness_pair[0]), _lengths_payload(report.witness_pair[1])]
+            [list(report.witness_pair[0].values), list(report.witness_pair[1].values)]
             if report.witness_pair
             else None
         ),
         "failed_sumset": (
-            _lengths_payload(report.failed_sumset) if report.failed_sumset else None
+            list(report.failed_sumset.values) if report.failed_sumset else None
         ),
         "inconclusive": [
             {
-                "left": _lengths_payload(sc.left),
-                "right": _lengths_payload(sc.right),
-                "sumset": _lengths_payload(sc.sumset),
+                "left": list(sc.left.values),
+                "right": list(sc.right.values),
+                "sumset": list(sc.sumset.values),
             }
             for sc in report.inconclusive
         ],
@@ -293,19 +232,17 @@ def cmd_closed(args) -> int:
 
 
 def cmd_rho(args) -> int:
-    cfg = _config(args)
-    group = _group(args)
-    value = rho_k(group, args.k, cfg.budget)
+    group = parse_group(args.group)
+    value = rho_k(group, args.k, args.budget)
     payload = {"group": str(group), "k": args.k, "rho": value}
     _emit(args, payload, [str(value)])
     return EXIT_OK
 
 
 def cmd_delta(args) -> int:
-    cfg = _config(args)
-    group = _group(args)
+    group = parse_group(args.group)
     if args.star:
-        report = delta_star_bounded(group, args.bound, cfg.budget)
+        report = delta_star_bounded(group, args.bound, args.budget)
         payload = {
             "group": str(group),
             "bound": report.bound,
@@ -331,7 +268,7 @@ def cmd_delta(args) -> int:
         ]
     else:
         support = _support(args, group)
-        deltas = delta_bounded(group, support, args.bound, cfg.budget)
+        deltas = delta_bounded(group, support, args.bound, args.budget)
         payload = {
             "group": str(group),
             "bound": args.bound,
@@ -344,12 +281,11 @@ def cmd_delta(args) -> int:
 
 
 def cmd_aamp(args) -> int:
-    _config(args)  # validates --budget, --cap and --threads like every subcommand
     target = parse_length_set(args.set)
     if args.min_bound:
         m = minimal_aamp_bound(target, args.d)
         payload = {
-            "set": _lengths_payload(target),
+            "set": list(target.values),
             "d": args.d,
             "minimal_bound": m,
         }
@@ -357,7 +293,7 @@ def cmd_aamp(args) -> int:
         return EXIT_OK
     witness = is_aamp(target, args.d, args.M)
     payload = {
-        "set": _lengths_payload(target),
+        "set": list(target.values),
         "d": args.d,
         "M": args.M,
         "witness": (
@@ -386,12 +322,11 @@ def cmd_aamp(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = _config(args)
     if args.scenario == "all":
-        scenarios = run_all(heavy=args.heavy, budget=cfg.budget)
+        scenarios = run_all(heavy=args.heavy, budget=args.budget)
     else:
         scenarios = [
-            run_scenario(args.scenario, heavy=args.heavy, budget=cfg.budget)
+            run_scenario(args.scenario, heavy=args.heavy, budget=args.budget)
         ]
     payload = {
         "scenarios": [
@@ -426,6 +361,18 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all(sc.passed for sc in scenarios) else EXIT_CLAIM_FAILED
 
 
+def _at_least(least: int):
+    """An argparse type: an integer no smaller than ``least``."""
+
+    def limit(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"{value} is below {least}")
+        return value
+
+    return limit
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zslen",
@@ -441,10 +388,15 @@ def _build_parser() -> argparse.ArgumentParser:
         if group:
             p.add_argument("--group", required=True, help="group spec, e.g. C2xC4 or 2,4")
         p.add_argument("--json", action="store_true", help="JSON output")
-        p.add_argument("--budget", type=int, default=None, help="node budget")
-        p.add_argument("--threads", type=int, default=None,
+        # a string default goes through the type check too, so a bad
+        # ZSLEN_BUDGET is a usage error like a bad --budget
+        p.add_argument("--budget", type=_at_least(1),
+                       default=os.environ.get("ZSLEN_BUDGET") or str(DEFAULT_BUDGET),
+                       help=f"node budget (default $ZSLEN_BUDGET, else {DEFAULT_BUDGET})")
+        # --threads 0 meant machine parallelism, so 0 stays accepted
+        p.add_argument("--threads", type=_at_least(0), default=0,
                        help="accepted for compatibility; has no effect")
-        p.add_argument("--cap", type=int, default=DEFAULT_FACTORIZATION_CAP,
+        p.add_argument("--cap", type=_at_least(1), default=DEFAULT_FACTORIZATION_CAP,
                        help="factorization materialization cap")
 
     def symmetry(p):

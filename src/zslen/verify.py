@@ -13,7 +13,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .atoms import atom_set_for, atoms_of_max_length, davenport, enumerate_atoms, is_atom
+from .atoms import atom_set_for, atoms_of_max_length, davenport, is_atom
 from .budget import BudgetExceededError, as_budget
 from .factorize import LengthSet, catenary_degree, length_set
 from .groups import AbelianGroup, parse_group
@@ -179,6 +179,13 @@ def c33_form_member(ls: LengthSet) -> bool:
 # -- scenarios ---------------------------------------------------------------------
 
 
+def _lengths(b: Sequence, budget) -> LengthSet:
+    """L(b) on the group's atom set, so a scenario builds one atom set and
+    one length memo per group, not one per support; L(b) does not depend
+    on which covering atom set is used."""
+    return length_set(b, atom_set_for(b.group), budget)
+
+
 def _realizable(group: AbelianGroup, target: LengthSet, budget) -> bool:
     """The oracle's exact verdict on ``target``; an inconclusive answer
     raises :class:`BudgetExceededError` with phase ``decide_length_set``,
@@ -220,7 +227,7 @@ def _scenario_lemma_3_3(heavy: bool, budget) -> Scenario:
         "lemma-3.3/maximal-atoms",
         set(atoms_of_max_length(g)) == expected_max and len(expected_max) == 8,
     )
-    big_l = length_set(u * (-u), budget=budget)
+    big_l = _lengths(u * (-u), budget)
     c.check(
         "L((-U)U) = {2,4,5}",
         "lemma-3.3/lengths",
@@ -283,7 +290,7 @@ def _scenario_lemma_3_3(heavy: bool, budget) -> Scenario:
         c.check(
             f"5 is a length of (-U)U(-V{nu})V{nu}",
             f"lemma-3.3/five-{nu}",
-            5 in length_set(target, budget=budget),
+            5 in _lengths(target, budget),
         )
 
     c.check(
@@ -339,7 +346,7 @@ def _scenario_lemma_3_4_light(heavy: bool, budget) -> Scenario:
     c.check(
         "L((-U)U) = {2,5,8,9} for U = e1^4 e2^4 (e1+e2)",
         "lemma-3.4/lengths",
-        length_set(u * (-u), budget=budget),
+        _lengths(u * (-u), budget),
         LengthSet([2, 5, 8, 9]),
     )
     structural = structural_max_atoms_c55(g)
@@ -355,7 +362,7 @@ def _scenario_lemma_3_4_light(heavy: bool, budget) -> Scenario:
     )
     bad = 0
     for w in structural:
-        if 3 not in length_set(w * w, budget=budget):
+        if 3 not in _lengths(w * w, budget):
             bad += 1
     c.check(
         "3 is a length of W^2 for every structural length-9 atom W "
@@ -450,19 +457,19 @@ def _lem_length_claims(r: int, budget) -> Scenario:
             inter = i_set & j_set
             union = i_set | j_set
             # products of the canonical atom gadgets
-            uu = length_set(gad.U_I(i_set) * gad.U_I(j_set), budget=budget)
+            uu = _lengths(gad.U_I(i_set) * gad.U_I(j_set), budget)
             expected_uu = (
                 LengthSet([2, 1 + len(inter)]) if inter else LengthSet([2])
             )
             if uu != expected_uu:
                 bad.append(f"UU {sorted(i_set)},{sorted(j_set)}: {uu}")
             delta = 0 if inter else 1
-            vv = length_set(gad.V_I(i_set) * gad.V_I(j_set), budget=budget)
+            vv = _lengths(gad.V_I(i_set) * gad.V_I(j_set), budget)
             expected_vv = LengthSet([2, 1 + delta + r + 1 - len(union)])
             if vv != expected_vv:
                 bad.append(f"VV {sorted(i_set)},{sorted(j_set)}: {vv}")
             delta_uv = 0 if (not i_set <= j_set and not j_set <= i_set) else 1
-            uv = length_set(gad.U_I(i_set) * gad.V_I(j_set), budget=budget)
+            uv = _lengths(gad.U_I(i_set) * gad.V_I(j_set), budget)
             expected_uv = LengthSet([2, 1 + delta_uv + len(i_set - j_set)])
             if uv != expected_uv:
                 bad.append(f"UV {sorted(i_set)},{sorted(j_set)}: {uv}")
@@ -489,19 +496,19 @@ def _scenario_lemma_3_5(heavy: bool, budget) -> Scenario:
             ok = True
             for k in (1, 2, 3):
                 expected = LengthSet(2 * k + (s - 1) * j for j in range(k + 1))
-                if length_set(u ** (2 * k), budget=budget) != expected:
+                if _lengths(u ** (2 * k), budget) != expected:
                     ok = False
             c.check(
                 f"L(U^2k) = 2k + (s-1)[0,k] for k in [1,3], r={r}, s={s}",
                 f"lemma-3.5/power-lengths-r{r}-s{s}",
                 ok,
             )
-        aset = atom_set_for(g) if r <= 4 else enumerate_atoms(g)
+        aset = atom_set_for(g)
         bad_independence = 0
-        for a in aset.atoms:
-            if len(a) < 3 or not a.is_squarefree():
-                continue
-            elems = a.support()
+        for sp in aset.atoms_sparse:
+            if len(sp) < 3 or any(m > 1 for _, m in sp):
+                continue  # a squarefree atom has one pair per element
+            elems = [g.element(i) for i, _ in sp]
             for omit in range(len(elems)):
                 rest = [e for k2, e in enumerate(elems) if k2 != omit]
                 total = g.zero()
@@ -528,8 +535,8 @@ def _scenario_lemma_3_5(heavy: bool, budget) -> Scenario:
             if not a.is_zero_sum():
                 continue
             found += 1
-            cat = catenary_degree(a, budget=budget)
-            deltas = length_set(a, budget=budget).delta()
+            cat = catenary_degree(a, aset, budget=budget)
+            deltas = _lengths(a, budget).delta()
             max_delta = max(deltas) if deltas else 0
             if cat > r or max_delta > max(0, r - 2):
                 violations.append(str(a))
@@ -604,8 +611,8 @@ def _minfact_split_violations(r: int, budget) -> list[str]:
             ok = (
                 gad.V_I(i_set) * b == target
                 and gad.U_I(i_set) * b_prime == target
-                and length_set(b, budget=budget).max <= len(i_set)
-                and length_set(b_prime, budget=budget).max <= r + 1 - len(i_set)
+                and _lengths(b, budget).max <= len(i_set)
+                and _lengths(b_prime, budget).max <= r + 1 - len(i_set)
             )
             if not ok:
                 bad.append(f"{a} via weight-{weight} element {e}")
@@ -623,45 +630,45 @@ def _scenario_prop_3_8_r2(heavy: bool, budget) -> Scenario:
     c.check(
         "L((-U)U) = [2,5] for U = e1^2 e2^2 e0",
         "prop-3.8/r2-U",
-        length_set(u * (-u), budget=budget),
+        _lengths(u * (-u), budget),
         LengthSet([2, 3, 4, 5]),
     )
     c.check(
         "L((-W3)W3) = [2,3] for W3 = e1 e2 (-e0)",
         "prop-3.8/r2-W3",
-        length_set(w3 * (-w3), budget=budget),
+        _lengths(w3 * (-w3), budget),
         LengthSet([2, 3]),
     )
     c.check(
         "L((-W4)W4) = [2,4] for W4 = e1^2 e2 (e1-e2)",
         "prop-3.8/r2-W4",
-        length_set(w4 * (-w4), budget=budget),
+        _lengths(w4 * (-w4), budget),
         LengthSet([2, 3, 4]),
     )
     pairs_u = u * (-u)
     c.check(
         "L((-U)^2 U^2) = [4,10]",
         "prop-3.8/r2-k2",
-        length_set(pairs_u * pairs_u, budget=budget),
+        _lengths(pairs_u * pairs_u, budget),
         LengthSet(range(4, 11)),
     )
     c.check(
         "L((-U)U(-W3)W3) = [4,8]",
         "prop-3.8/r2-UW3",
-        length_set(pairs_u * (w3 * (-w3)), budget=budget),
+        _lengths(pairs_u * (w3 * (-w3)), budget),
         LengthSet(range(4, 9)),
     )
     c.check(
         "L((-U)U(-W4)W4) = [4,9]",
         "prop-3.8/r2-UW4",
-        length_set(pairs_u * (w4 * (-w4)), budget=budget),
+        _lengths(pairs_u * (w4 * (-w4)), budget),
         LengthSet(range(4, 10)),
     )
     zeros2 = Sequence(g, [g.zero(), g.zero()])
     c.check(
         "L(0^2 (-U)U) = [4,7]: padding shifts by the number of zeros",
         "prop-3.8/r2-shift",
-        length_set(zeros2 * pairs_u, budget=budget),
+        _lengths(zeros2 * pairs_u, budget),
         LengthSet(range(4, 8)),
     )
     odd = [LengthSet(range(2 * k + 1, 5 * k + 3)) for k in (1, 2)]
@@ -743,8 +750,8 @@ def _scenario_theorem_table(heavy: bool, budget) -> Scenario:
         u = Sequence(g, [gad.basis[0], gad.basis[1], gad.basis[2], gad.e_I((1, 2, 3))])
         left = u ** 4
         right = gad.V0 ** 2
-        l_left = length_set(left, budget=budget)
-        l_right = length_set(right, budget=budget)
+        l_left = _lengths(left, budget)
+        l_right = _lengths(right, budget)
         c.check(
             "rank 4: the construction sets are {4,6,8} and {2,5}",
             "theorem-table/C2^4-construction",

@@ -158,6 +158,7 @@ def test_usage_errors(capsys):
     [
         ("aamp", "--set", "2,5,8,9", "--d", "3"),
         ("verify", "--scenario", "lemma-3.3"),
+        ("decide", "--group", "C3xC3", "--set", "4,6,8,9"),
     ],
 )
 @pytest.mark.parametrize(
@@ -288,9 +289,18 @@ def test_python_dash_m_runs_the_cli(capsys):
 
 def test_env_budget_override(capsys, monkeypatch):
     monkeypatch.setenv("ZSLEN_BUDGET", "20")
-    code, _, _ = run_cli(capsys, "decide", "--group", "C3xC3", "--set", "4,6,8,9")
-    assert code == 3
+    argv = ("decide", "--group", "C3xC3", "--set", "4,6,8,9")
+    assert run_cli(capsys, *argv)[0] == 3
+    assert run_cli(capsys, *argv, "--budget", "5000000")[0] == 0  # explicit wins
     monkeypatch.delenv("ZSLEN_BUDGET")
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_bad_env_budget_is_a_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("ZSLEN_BUDGET", value)
+    code, out, err = run_cli(capsys, "decide", "--group", "C3xC3", "--set", "4,6,8,9")
+    assert code == 2 and out == ""
+    assert "argument --budget" in err
 
 
 @pytest.mark.parametrize(

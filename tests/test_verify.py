@@ -145,3 +145,10 @@ def test_lemma_3_5_2_gap_characterization_is_not_vacuous(monkeypatch):
     sc = run_scenario("lemma-3.5_2", heavy=False, budget=5_000_000)
     failed = {c.reference for c in sc.claims if not c.passed}
     assert "lemma-3.5_2/gap-characterization-r3" in failed
+
+
+def test_scenario_builds_only_its_groups_atom_set(monkeypatch):
+    # per-support atom sets would add one entry per distinct product support
+    monkeypatch.setattr(zslen.atoms, "_ATOMSET_CACHE", {})
+    assert run_scenario("lemma-3.3", budget=5_000_000).passed
+    assert list(zslen.atoms._ATOMSET_CACHE) == [((2, 4), None)]
