@@ -124,51 +124,65 @@ def _zero_free_levels(aset: AtomSet, bound: int, bud: Budget):
 
     Returns ``(levels, fields, padded)``: ``levels[n]`` maps every zero-free
     zero-sum sequence B' with |B'| = n to the bitmask of L(B').  L(empty) =
-    {0}, and every B' on level n pushes ``mask << 1`` into B'*A for each
-    nonzero atom A with |A| <= bound - n.  A factorization of C gives each
-    of its atoms A a push from C/A, so a level is complete before it is
-    read, and only zero-sum sequences are ever reached.  The zero element
-    is a prime, so B(G) = F({0}) x B(G \\ {0}): the zero-padded 0^k B' is
-    never pushed, since L(0^k B') = k + L(B') has the mask ``mask << k``.
+    {0}, and B' on level n pushes ``mask << 1`` into B'*A for each nonzero
+    atom A with |A| <= bound - n and first(A) <= first(B'), where first is
+    the lowest element index present (first(empty) = |G|, so the empty
+    sequence pushes every atom).  Then A holds the first element p of
+    B'*A, and these are all the pushes that reach C = B'*A through an atom
+    holding p.  That suffices: every factorization of a zero-free zero-sum
+    C has an atom A through p, and C/A is zero-free, zero-sum and shorter,
+    so C is reached, a level is complete before it is read, and L(C) =
+    1 + the union of L(C/A) over the atoms A through p that divide C.
+    Only zero-sum sequences are ever reached.  The zero element is a
+    prime, so B(G) = F({0}) x B(G \\ {0}): the zero-padded 0^k B' is never
+    pushed, since L(0^k B') = k + L(B') has the mask ``mask << k``.
 
     Sequences are packed integers with one whole-byte field per group
-    element, the element of index 0 most significant; ``fields`` unpacks
-    them into count tuples, and ``padded`` says whether the support holds
-    the zero element.  A field holds ``bound``, so no count overflows and
-    B'*A is one integer addition.
+    element, the element of index 0 most significant, so first(B') is
+    ``(width * |G| - key.bit_length()) // width``; ``fields`` unpacks them
+    into count tuples, and ``padded`` says whether the support holds the
+    zero element.  A field holds ``bound``, so no count overflows and B'*A
+    is one integer addition.
 
-    The budget is spent as if every zero-sum B were pushed, zero-padded
-    ones included: one node per (B, A) pair with |A| <= bound - |B|, the
-    zero atom included, spent a level at a time before the level runs.
-    The spend therefore depends only on the support and the bound.
+    The budget is spent as if every zero-sum B were pushed through every
+    atom, zero-padded ones included: one node per (B, A) pair with |A| <=
+    bound - |B|, the zero atom included, spent a level at a time before
+    the level runs.  The pass performs fewer pushes than it pays for, and
+    the spend depends only on the support and the bound.
     """
     size = aset.group.order()
     fields = struct.Struct(f">{size}{_CODES[_field_width((bound,))]}")
     width = 8 * fields.size // size
     padded = bool(aset.support) and aset.group.index_of(aset.support[0]) == 0
-    packed_by_len: dict[int, list[int]] = {}
+    # packed atoms of length k >= 2, by first index and then by k
+    firsts: list[dict[int, list[int]]] = [{} for _ in range(size + 1)]
     atoms_by_len = [0] * (bound + 1)
     for sp in aset.atoms_sparse:
         n = sum(m for _, m in sp)
         if n <= bound:
             atoms_by_len[n] += 1
-        if n > 1:
+        if 1 < n <= bound:
             packed = sum(m << (width * (size - 1 - i)) for i, m in sp)
-            packed_by_len.setdefault(n, []).append(packed)
+            firsts[sp[0][0]].setdefault(n, []).append(packed)
+    by_first = []  # by_first[f]: (k, those of length k with first index <= f), k ascending
+    below: dict[int, list[int]] = {}
+    for by_len in firsts:
+        below = {k: below.get(k, []) + by_len.get(k, []) for k in below.keys() | by_len.keys()}
+        by_first.append(sorted(below.items()))
     levels: list[dict[int, int]] = [{} for _ in range(bound + 1)]
     levels[0][0] = 1
     all_zero_sum = 0  # zero-sum sequences of length n, zero-padded ones included
+    top = width * size
     for n, level in enumerate(levels):
         all_zero_sum = all_zero_sum + len(level) if padded else len(level)
         bud.spend(all_zero_sum * sum(atoms_by_len[: bound - n + 1]))
         pushes = [
-            (levels[n + k], packed)
-            for k, packed in sorted(packed_by_len.items())
-            if k <= bound - n
+            [(levels[n + k], packed) for k, packed in by_len if k <= bound - n]
+            for by_len in by_first
         ]
         for key, mask in level.items():
             shifted = mask << 1
-            for target, packed in pushes:
+            for target, packed in pushes[(top - key.bit_length()) // width]:
                 for a in packed:
                     c = key + a
                     target[c] = target.get(c, 0) | shifted
@@ -235,9 +249,13 @@ def enumerate_system(
     ``seq_length`` ranges over all zero-sum sequences B with |B| <= bound.
     It reads the zero-free sequences B' of the forward pass (the ones
     :func:`zero_free_length_masks` yields), and each zero-padded 0^k B'
-    gets L(B') shifted by k.
-    One budget node is still one (B, A) pair over all zero-sum B, the
-    zero-padded ones included, whether or not the pass performs the push;
+    gets L(B') shifted by k.  B' pushes only the atoms A with first(A) <=
+    first(B'), the lowest element indices present: every factorization of
+    a zero-free C = B'*A has an atom through the first element of C, so
+    each C is still reached and gets all of L(C).
+    One budget node is still one (B, A) pair over all zero-sum B and all
+    atoms A, the zero-padded ones included, whether or not the pass
+    performs the push, so the spend is unchanged by the first-index rule;
     the length memo is left untouched.  The first witness of a set L is
     0^k B' with k the largest value such that L - k is the set of some
     zero-free B' with |B'| <= bound - k, and B' the first such in the walk:

@@ -483,6 +483,21 @@ def _lem_length_claims(r: int, budget) -> Scenario:
     return c.done(f"lem-length-r{r}", gad.group)
 
 
+def _independent_mod2(rows) -> bool:
+    """``AbelianGroup.is_independent`` over an elementary 2-group, for
+    elements given as coordinate bitmasks (coordinate j is bit j): the
+    rows are linearly independent over GF(2), decided by elimination
+    instead of building their span."""
+    pivots: dict[int, int] = {}  # leading bit -> reduced row
+    for row in rows:
+        while row and row.bit_length() in pivots:
+            row ^= pivots[row.bit_length()]
+        if not row:
+            return False
+        pivots[row.bit_length()] = row
+    return bool(pivots)
+
+
 def _scenario_lemma_3_5(heavy: bool, budget) -> Scenario:
     c = _Claims()
     rng = random.Random(20260811)
@@ -504,17 +519,18 @@ def _scenario_lemma_3_5(heavy: bool, budget) -> Scenario:
                 ok,
             )
         aset = atom_set_for(g)
+        bit_rows = [sum(x << j for j, x in enumerate(e)) for e in g.elements()]
         bad_independence = 0
         for sp in aset.atoms_sparse:
             if len(sp) < 3 or any(m > 1 for _, m in sp):
                 continue  # a squarefree atom has one pair per element
-            elems = [g.element(i) for i, _ in sp]
-            for omit in range(len(elems)):
-                rest = [e for k2, e in enumerate(elems) if k2 != omit]
-                total = g.zero()
-                for e in rest:
-                    total = g.add(total, e)
-                if not (g.is_independent(rest) and total == elems[omit]):
+            rows = [bit_rows[i] for i, _ in sp]
+            for omit in range(len(rows)):
+                rest = rows[:omit] + rows[omit + 1 :]
+                total = 0  # sum(rest): addition in C2^r is XOR of bitmasks
+                for row in rest:
+                    total ^= row
+                if not (_independent_mod2(rest) and total == rows[omit]):
                     bad_independence += 1
         c.check(
             f"every squarefree atom over rank {r} is an independent tuple "

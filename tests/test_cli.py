@@ -1,5 +1,6 @@
 """Command-line surface: output schemas, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -8,7 +9,10 @@ import sys
 import pytest
 
 from zslen import atoms
+from zslen.budget import Budget
 from zslen.cli import main
+from zslen.groups import parse_group
+from zslen.lsystem import enumerate_system
 
 
 def run_cli(capsys, *argv):
@@ -326,3 +330,23 @@ def test_outputs_byte_identical_across_threads_and_symmetry(capsys, argv):
             assert code == 0
             outputs.add(out)
     assert len(outputs) == 1
+
+
+@pytest.mark.parametrize(
+    "spec,bound,spend,digest",
+    [
+        ("C4xC4", 8, 186_531, "f3d95735d57907fc51fc7b78a2205b783cbad4e3a3460de13c0d68858fb667f8"),
+        ("C2xC2xC4", 8, 185_792, "f1a7ee562ca1819fc73d134c3a1144daa8024b130afd5b8640ccda1ddfa4eadf"),
+        ("C3xC3", 12, 242_288, "3b0cb0c6e48aff672450e0374f986f99c03826dc4edad038cb2f3ad88a4b80ba"),
+        ("C2xC6", 10, 343_544, "eacc92a64df1bbb8de2901792f5dbfe8749b87ba8d8e066ddbf8009ba1de3fcd"),
+    ],
+)
+def test_system_pass_spend_and_output_are_pinned(capsys, spec, bound, spend, digest):
+    # the spend counts every (B, A) pair, pushed or not, and the output
+    # holds each set's first witness, so either moving fails here
+    bud = Budget()
+    enumerate_system(parse_group(spec), bound=bound, budget=bud)
+    assert bud.used == spend
+    code, out, _ = run_cli(capsys, "system", "--group", spec, "--bound", str(bound), "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

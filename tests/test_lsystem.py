@@ -211,6 +211,10 @@ def assert_zero_free_pass_matches_brute_force(group, elems, bound):
         ("C2", 300, None),  # counts past 255 need two-byte fields
         ("C2xC2xC2", 10, "(1,0,0) (0,1,0) (0,0,1) (1,1,1)"),
         ("C2xC4", 9, "(0,0) (0,1) (1,0) (1,3) (0,2)"),
+        # no element of index 1 or 2: first indices start at 3
+        ("C2xC4", 10, "(0,3) (1,1) (1,2) (1,3)"),
+        ("C3xC3", 10, "(0,0) (0,2) (1,0) (1,1) (1,2) (2,0) (2,1) (2,2)"),
+        ("C4", 300, "(2) (3)"),  # two-byte fields, index 1 missing
     ],
 )
 def test_zero_sum_pass_matches_brute_force(spec, bound, support):

@@ -1,6 +1,8 @@
 """Scenario runner surface and the elementary 2-group gadget algebra."""
 
 import inspect
+import itertools
+import random
 
 import pytest
 
@@ -152,3 +154,31 @@ def test_scenario_builds_only_its_groups_atom_set(monkeypatch):
     monkeypatch.setattr(zslen.atoms, "_ATOMSET_CACHE", {})
     assert run_scenario("lemma-3.3", budget=5_000_000).passed
     assert list(zslen.atoms._ATOMSET_CACHE) == [((2, 4), None)]
+
+
+def _bit_row(e):
+    return sum(c << j for j, c in enumerate(e))
+
+
+def _elementary_2_group_subsets():
+    """Every subset of the nonzero elements of C2^3, then 500 seeded
+    subsets (the zero element allowed) of C2^4 and of C2^5."""
+    g = AbelianGroup([2] * 3)
+    nonzero = g.elements()[1:]
+    for size in range(len(nonzero) + 1):
+        for subset in itertools.combinations(nonzero, size):
+            yield g, list(subset)
+    rng = random.Random(20261020)
+    for r in (4, 5):
+        g = AbelianGroup([2] * r)
+        for _ in range(500):
+            yield g, rng.sample(g.elements(), rng.randint(1, r + 2))
+
+
+def test_independent_mod2_matches_is_independent():
+    seen = set()
+    for g, elems in _elementary_2_group_subsets():
+        expected = g.is_independent(elems)
+        assert verify._independent_mod2([_bit_row(e) for e in elems]) == expected, elems
+        seen.add(expected)
+    assert seen == {True, False}
