@@ -493,10 +493,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    except BudgetExceededError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_BUDGET
-    except CapExceededError as e:
+    except (BudgetExceededError, CapExceededError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BUDGET
     except ValueError as e:

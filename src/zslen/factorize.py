@@ -9,11 +9,12 @@ large enumerations reuse each other's subproblems.  The atoms that divide a
 node are found with bitset ANDs over per-element tables of atom indices.
 Nodes are packed integers, one whole-byte field per element with the
 elements ordered by atom load, so the pivot is the lowest nonzero field and
-a child is one subtraction; the fields start one byte wide and widen to 2,
-4 or 8 bytes when a count needs it.  Factorizations walk the same packed
-keys and find their atoms by the same ANDs.  Layout and tables are built
-on first use for an atom set and cached on it, so enumerating atoms never
-pays for them.
+a child is one subtraction; the fields start one byte wide, and a count
+that needs 2, 4 or 8 bytes rebuilds the layout at that width and empties
+the memo, whose keys were packed at the old one.  Factorizations walk the
+same packed keys and find their atoms by the same ANDs.  Layout and tables
+are built on first use for an atom set and cached on it, so enumerating
+atoms never pays for them.
 """
 
 from __future__ import annotations
@@ -197,7 +198,6 @@ class _Layout(NamedTuple):
     pick: Callable  # counts in element order -> counts in field order
     order: tuple[int, ...]  # field f holds the count of element order[f]
     through: tuple[int, ...]  # by field: the atoms containing its element
-    fit_rows: tuple  # (f, top, fits) by field, see _divisor_tables
     packed: tuple[int, ...]  # atom k's vector in the layout
     fitting: Callable  # (key, fit) -> the atoms of fit that divide node key
 
@@ -215,70 +215,53 @@ def _divisor_tables(aset: AtomSet, width: int = 1) -> _Layout:
     load of an element is the number of atoms through it, and field f
     holds the count of ``order[f]``; so the lowest nonzero field of a key
     is the support element through the fewest atoms, the first on ties.
-    ``through[f]`` is the set of atoms through that element, and
-    ``fit_rows`` holds ``(f, top, fits)`` for each field whose element some
-    atom contains, where ``top`` is the element's largest multiplicity in
-    an atom and ``fits[c]``, for c < top, is the set of atoms with at most c
-    copies of it (a count of top or more fits every atom).  Bit k of a set
-    stands for atom k, and ``packed[k]`` is atom k's vector in the layout,
-    so a child key is the node key minus ``packed[k]``.  ``fitting(key,
-    fit)`` ANDs ``fit`` with the ``fit_rows`` entries of one ``struct``
-    unpack of ``key``; a closure, so a node pays no attribute lookups.
+    ``through[f]`` is the set of atoms through that element.  Bit k of a
+    set stands for atom k, and ``packed[k]`` is atom k's vector in the
+    layout, so a child key is the node key minus ``packed[k]``.
+    ``fitting(key, fit)`` unpacks ``key`` with one ``struct`` call and, for
+    each field whose element some atom contains, ANDs ``fit`` with the set
+    of atoms holding at most as many copies of that element as the field
+    counts (a count of at least the element's largest multiplicity in an
+    atom fits every atom); a closure, so a node pays no attribute lookups.
 
-    A call asking for a wider field than the cached layout has widens it:
-    ``packed`` is rebuilt and the keys of the atom set's memo are unpacked
-    at the old width and repacked at the new one, so the memo keeps its
-    contents.
+    A call asking for a wider field than the cached layout has rebuilds
+    every table at that width and empties the atom set's memo, whose keys
+    were packed at the old width.
     """
     old = aset._divisor_tables
     if old is not None and old.bits >= 8 * width:
         return old
     n = aset.group.order()
     fields = struct.Struct(f"<{n}{_CODES[width]}")
-    if old is None:
-        nbytes = len(aset.atoms_sparse) // 8 + 1
-        # exact[i][m]: bitmap of the atoms with exactly m copies of i
-        exact: list[dict[int, bytearray]] = [{} for _ in range(n)]
-        for k, sp in enumerate(aset.atoms_sparse):
-            byte, bit = k >> 3, 1 << (k & 7)
-            for i, m in sp:
-                buf = exact[i].get(m)
-                if buf is None:
-                    buf = exact[i][m] = bytearray(nbytes)
-                buf[byte] |= bit
-        everything = (1 << len(aset.atoms_sparse)) - 1
-        through = [0] * n
-        fit_at = {}
-        for i, by_mult in enumerate(exact):
-            if not by_mult:
-                continue
-            fits = [0] * max(by_mult)
-            over = 0  # atoms with more than c copies of i
-            for c in range(len(fits) - 1, -1, -1):
-                buf = by_mult.get(c + 1)
-                if buf is not None:
-                    over |= int.from_bytes(buf, "little")
-                fits[c] = everything ^ over
-            through[i] = over
-            fit_at[i] = (len(fits), tuple(fits))
-        order = tuple(sorted(range(n), key=lambda i: (through[i].bit_count(), i)))
-        by_field = tuple(through[i] for i in order)
-        fit_rows = tuple(
-            (f, *fit_at[i]) for f, i in enumerate(order) if i in fit_at
-        )
-        pick = itemgetter(*order) if n > 1 else tuple
-    else:
-        order, by_field, fit_rows, pick = old.order, old.through, old.fit_rows, old.pick
-        memo = aset._length_memo
-        rekeyed = {
-            int.from_bytes(
-                fields.pack(*old.fields.unpack(key.to_bytes(old.fields.size, "little"))),
-                "little",
-            ): mask
-            for key, mask in memo.items()
-        }
-        memo.clear()
-        memo.update(rekeyed)
+    nbytes = len(aset.atoms_sparse) // 8 + 1
+    # exact[i][m]: bitmap of the atoms with exactly m copies of i
+    exact: list[dict[int, bytearray]] = [{} for _ in range(n)]
+    for k, sp in enumerate(aset.atoms_sparse):
+        byte, bit = k >> 3, 1 << (k & 7)
+        for i, m in sp:
+            buf = exact[i].get(m)
+            if buf is None:
+                buf = exact[i][m] = bytearray(nbytes)
+            buf[byte] |= bit
+    everything = (1 << len(aset.atoms_sparse)) - 1
+    through = [0] * n
+    fit_at = {}
+    for i, by_mult in enumerate(exact):
+        if not by_mult:
+            continue
+        fits = [0] * max(by_mult)
+        over = 0  # atoms with more than c copies of i
+        for c in range(len(fits) - 1, -1, -1):
+            buf = by_mult.get(c + 1)
+            if buf is not None:
+                over |= int.from_bytes(buf, "little")
+            fits[c] = everything ^ over
+        through[i] = over
+        fit_at[i] = (len(fits), tuple(fits))
+    order = tuple(sorted(range(n), key=lambda i: (through[i].bit_count(), i)))
+    by_field = tuple(through[i] for i in order)
+    fit_rows = tuple((f, *fit_at[i]) for f, i in enumerate(order) if i in fit_at)
+    pick = itemgetter(*order) if n > 1 else tuple
     bits = 8 * width
     field_of = {i: f for f, i in enumerate(order)}
     packed = tuple(
@@ -294,7 +277,11 @@ def _divisor_tables(aset: AtomSet, width: int = 1) -> _Layout:
                 fit &= fits[c]
         return fit
 
-    aset._divisor_tables = _Layout(fields, bits, pick, order, by_field, fit_rows, packed, fitting)
+    if old is not None:
+        # its keys were packed at the old width; emptied in place, so every
+        # holder of the dict sees it
+        aset._length_memo.clear()
+    aset._divisor_tables = _Layout(fields, bits, pick, order, by_field, packed, fitting)
     return aset._divisor_tables
 
 
@@ -346,10 +333,14 @@ def length_mask(aset: AtomSet, counts: tuple[int, ...], budget: Budget) -> int:
     built in ascending atom index.  Each node is expanded once: a node
     with children missing from the memo stays on the stack with its
     partial mask and the list of those children, which are pushed above
-    it, and it ORs their masks in when they are done.  A new memo entry
-    spends one budget node; a memo hit spends nothing.  ``counts`` is
-    packed once at entry, by ``_packed_key``, so a bad count raises
-    before any node is spent.
+    it, and it ORs their masks in when they are done.  No key is ever on
+    the stack twice, so none is found in the memo when it is reached: a
+    second copy of a child P - A would come from inside the subtree of a
+    sibling P - A'', as Q - A' with A = A'' X A' for a product X of
+    atoms, and the atom A would hold the nonempty zero-sum proper part
+    A''.  A new memo entry spends one budget node; a memo hit spends
+    nothing.  ``counts`` is packed once at entry, by ``_packed_key``, so
+    a bad count raises before any node is spent.
     """
     layout, key = _packed_key(aset, counts)
     memo = aset._length_memo
@@ -369,9 +360,6 @@ def length_mask(aset: AtomSet, counts: tuple[int, ...], budget: Budget) -> int:
                 mask |= memo[child] << 1
             memo[cur] = mask
             budget.spend()
-            continue
-        if cur in memo:
-            stack.pop()
             continue
         if not cur:
             memo[cur] = 1  # L(empty) = {0}

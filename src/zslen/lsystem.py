@@ -399,6 +399,13 @@ def decide_length_set(
     length memo and spends this decision's budget like any other kernel
     node.  ``symmetry`` is accepted for compatibility and has no effect:
     the orbit reduction is always on.
+
+    A target with min 1 and two or more elements is decided False before
+    any atom set is built, with no node spent: a B with min L(B) = 1 is an
+    atom, and an atom's only factorization is itself, so L(B) = {1}.  A
+    walk over the atoms reaches the same verdict, so this changes only
+    ``nodes``, and only for such targets.  The walk therefore has m >= 2,
+    and every leaf holds its prefix mask.
     """
     if not target:
         raise ValueError("cannot decide the empty set")
@@ -413,6 +420,9 @@ def decide_length_set(
         # {m} is always realized by m copies of the zero element
         witness = Sequence._from_index_pairs(group, ((0, m),))
         return DecideResult(True, witness, bud.used)
+    if m == 1:
+        # min L(B) = 1 makes B an atom, and L(atom) = {1}
+        return DecideResult(False, None, bud.used)
 
     aset = atom_set_for(group)
     order, items, lengths = _tau_walk(aset)
@@ -474,8 +484,6 @@ def decide_length_set(
                         return found
                 else:
                     bud.spend()
-                    if child == 1:  # m == 1: no prefix test ran
-                        mask = length_mask(aset, tuple(counts), bud)
                     if mask == tmask:
                         return tuple(counts)
             chosen.pop()
@@ -764,13 +772,12 @@ def minimal_aamp_bound(target: LengthSet, d: int) -> int | None:
 
 @dataclass(frozen=True)
 class SumsetCheck:
-    """One sumset a closure report lists, with the canonically-first pair
-    producing it and the outcome; the scan lists the 'inconclusive' ones."""
+    """A sumset the closure scan left undecided, with the canonically-first
+    pair producing it."""
 
     left: LengthSet
     right: LengthSet
     sumset: LengthSet
-    outcome: str
 
 
 @dataclass(frozen=True)
@@ -888,6 +895,6 @@ def check_additively_closed(
                 group, bound, "NOT-CLOSED", by_sumset[s][0], s, tuple(inconclusive), done, size
             )
         if realizable is None:
-            inconclusive.append(SumsetCheck(*by_sumset[s][0], s, "inconclusive"))
+            inconclusive.append(SumsetCheck(*by_sumset[s][0], s))
     verdict = "INCONCLUSIVE" if inconclusive else "CLOSED-AT-BOUND"
     return ClosureReport(group, bound, verdict, None, None, tuple(inconclusive), len(tasks), size)

@@ -58,6 +58,11 @@ def test_decide_expectation_exit_code(capsys):
 def test_davenport_command(capsys):
     code, out, _ = run_cli(capsys, "davenport", "--group", "C2xC4")
     assert code == 0 and out.strip() == "5"
+    # the atoms over {(0,1), (1,0)} are (0,1)^4 and (1,0)^2
+    code, out, _ = run_cli(
+        capsys, "davenport", "--group", "C2xC4", "--support", "(0,1) (1,0)"
+    )
+    assert code == 0 and out.strip() == "4"
 
 
 def test_atoms_json_schema(capsys):
@@ -92,6 +97,9 @@ def test_atoms_rejects_max_len_below_one(capsys, cap):
     assert "max_len must be >= 1" in err
 
 
+FACTORIZE_ARGV = ("factorize", "--group", "C2xC2", "--seq", "(1,0)^2 (0,1)^2 (1,1)^2")
+
+
 def test_factorize_and_catenary_json(capsys):
     code, out, _ = run_cli(
         capsys, "catenary", "--group", "C2xC2", "--seq", "(1,0)^2 (0,1)^2 (1,1)^2",
@@ -101,6 +109,28 @@ def test_factorize_and_catenary_json(capsys):
     doc = json.loads(out)
     assert {"seq", "lengths", "delta", "catenary", "num_factorizations"} <= set(doc)
     assert doc["catenary"] == 3 and doc["lengths"] == [2, 3]
+
+    code, out, _ = run_cli(capsys, *FACTORIZE_ARGV)
+    assert code == 0
+    assert out == (
+        "2 factorizations of (0,1)^2 (1,0)^2 (1,1)^2\n"
+        "  [(1,1)^2] * [(1,0)^2] * [(0,1)^2]\n"
+        "  [(0,1) (1,0) (1,1)] * [(0,1) (1,0) (1,1)]\n"
+    )
+    code, out, _ = run_cli(capsys, *FACTORIZE_ARGV, "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["lengths"] == [2, 3] and doc["num_factorizations"] == 2
+    assert doc["factorizations"] == [
+        ["(1,1)^2", "(1,0)^2", "(0,1)^2"],
+        ["(0,1) (1,0) (1,1)", "(0,1) (1,0) (1,1)"],
+    ]
+
+
+def test_factorize_cap_exhaustion_exit_code(capsys):
+    code, out, err = run_cli(capsys, *FACTORIZE_ARGV, "--cap", "1")
+    assert code == 3 and out == ""
+    assert err == "error: more than 1 factorizations; raise the cap to materialize\n"
 
 
 def test_system_and_closed_json(capsys):
@@ -127,6 +157,13 @@ def test_rho_and_delta(capsys):
     )
     assert code2 == 0
     assert json.loads(out2)["delta"] == [1]
+    code3, out3, _ = run_cli(
+        capsys, "delta", "--star", "--group", "C2xC4", "--bound", "8", "--json"
+    )
+    assert code3 == 0
+    doc = json.loads(out3)
+    assert doc["kind"] == "minimal-distances-estimate" and doc["values"] == [1, 2]
+    assert {"support": ["(0,1)", "(0,3)"], "estimate": 2} in doc["entries"]
 
 
 def test_aamp_command(capsys):
@@ -139,6 +176,11 @@ def test_aamp_command(capsys):
     assert doc["witness"]["central"] == [0, 3, 6]
     code2, _, _ = run_cli(capsys, "aamp", "--set", "2,5,8,9", "--d", "3", "--M", "0")
     assert code2 == 1
+    code3, out3, _ = run_cli(
+        capsys, "aamp", "--set", "2,5,8,9", "--d", "3", "--min-bound", "--json"
+    )
+    assert code3 == 0
+    assert json.loads(out3) == {"d": 3, "minimal_bound": 1, "set": [2, 5, 8, 9]}
 
 
 def test_verify_single_scenario(capsys):

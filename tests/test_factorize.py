@@ -461,24 +461,32 @@ def test_length_mask_counts_beyond_one_byte_match_per_atom_loop(counts):
     assert decoded_memo(fast) == twin._length_memo
 
 
-def test_length_mask_widening_rekeys_the_memo():
+def test_length_mask_widening_empties_the_memo():
+    # a count beyond one byte rebuilds the layout at two bytes and empties
+    # the memo in place, whose keys were packed one byte wide
     base = atom_set_for(parse_group("C2xC4"))
     fast, twin = fresh_copy(base), fresh_copy(base)
+    memo = fast._length_memo
     b = parse_sequence(base.group, "(0,1)^4 (1,1)^2 (1,2) (0,3)^3 (1,0)")
     narrow = b.counts()
     wide = (b * parse_sequence(base.group, "(0,2)^300")).counts()
-    for counts in (narrow, wide):
-        fast_bud, twin_bud = Budget(), Budget()
-        assert length_mask(fast, counts, fast_bud) == per_atom_length_mask(
-            twin, counts, twin_bud
-        )
-        assert fast_bud.used == twin_bud.used
-        assert decoded_memo(fast) == twin._length_memo
+    assert length_mask(fast, narrow, Budget()) == per_atom_length_mask(
+        twin, narrow, Budget()
+    )
+    assert fast._divisor_tables.fields.size == base.group.order()
+    bud, cold_bud = Budget(), Budget()
+    mask = length_mask(fast, wide, bud)
+    assert mask == per_atom_length_mask(twin, wide, Budget())
+    assert mask == length_mask(fresh_copy(base), wide, cold_bud)
+    assert bud.used == cold_bud.used
     assert fast._divisor_tables.fields.size == 2 * base.group.order()
-    # the narrow entries survive the widening as memo hits
-    bud = Budget()
-    length_mask(fast, narrow, bud)
-    assert bud.used == 0
+    assert fast._length_memo is memo
+    cold_twin = fresh_copy(base)
+    per_atom_length_mask(cold_twin, wide, Budget())
+    assert decoded_memo(fast) == cold_twin._length_memo
+    assert length_mask(fast, narrow, Budget()) == per_atom_length_mask(
+        twin, narrow, Budget()
+    )
 
 
 @pytest.mark.parametrize("big", [2**64, -1])

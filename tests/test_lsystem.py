@@ -363,9 +363,14 @@ def test_decide_singletons_and_validation():
         decide_length_set(g, LengthSet([]))
 
 
-def test_decide_rejects_sets_containing_one_with_more():
-    g = parse_group("C4")
-    assert decide_length_set(g, LengthSet([1, 2])).realizable is False
+def test_decide_rejects_sets_containing_one_with_more(monkeypatch):
+    # min L(B) = 1 makes B an atom, whose only set of lengths is {1}, so no
+    # atom set is built: over C5xC5 one holds 31,029 atoms
+    monkeypatch.setattr(atoms, "_ATOMSET_CACHE", {})
+    for spec in ("C4", "C5xC5"):
+        res = decide_length_set(parse_group(spec), LengthSet([1, 2]))
+        assert (res.realizable, res.witness, res.nodes) == (False, None, 0)
+    assert atoms._ATOMSET_CACHE == {}
 
 
 def test_decide_agrees_with_bounded_system():
@@ -865,6 +870,21 @@ def test_closure_scan_uses_the_group_atom_set_only(monkeypatch):
     assert list(atoms._ATOMSET_CACHE) == [(g.invariant_factors, None)]
 
 
+def test_closure_shifted_known_sets_skip_the_oracle(monkeypatch):
+    # over C2xC6 at bound 9 the sumsets {8,9,10}, {9,10,11} and {10,11,12}
+    # have no product witness, and each is y + a known set: L(0^y B) = y + L(B)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return decide_length_set(*args, **kwargs)
+
+    monkeypatch.setattr(lsystem, "decide_length_set", counted)
+    rep = check_additively_closed(parse_group("C2xC6"), bound=9)
+    assert rep.verdict == "CLOSED-AT-BOUND"
+    assert calls == []
+
+
 def test_closure_inconclusive_then_not_closed(monkeypatch):
     # at this budget the oracle leaves {2,3,6} + {2,3,6} undecided, and the
     # scan goes on to a later sumset that it decides is not realizable
@@ -878,7 +898,7 @@ def test_closure_inconclusive_then_not_closed(monkeypatch):
         verdict="NOT-CLOSED",
         witness_pair=(LengthSet([2, 5, 6]), LengthSet([2, 5, 6])),
         failed_sumset=LengthSet([4, 7, 8, 10, 11, 12]),
-        inconclusive=(SumsetCheck(undecided, undecided, undecided + undecided, "inconclusive"),),
+        inconclusive=(SumsetCheck(undecided, undecided, undecided + undecided),),
         pairs_checked=28,
         system_size=44,
         exhausted_phase=None,
