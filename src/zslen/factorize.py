@@ -9,12 +9,13 @@ large enumerations reuse each other's subproblems.  The atoms that divide a
 node are found with bitset ANDs over per-element tables of atom indices.
 Nodes are packed integers, one whole-byte field per element with the
 elements ordered by atom load, so the pivot is the lowest nonzero field and
-a child is one subtraction; the fields start one byte wide, and a count
-that needs 2, 4 or 8 bytes rebuilds the layout at that width and empties
-the memo, whose keys were packed at the old one.  Factorizations walk the
-same packed keys and find their atoms by the same ANDs.  Layout and tables
-are built on first use for an atom set and cached on it, so enumerating
-atoms never pays for them.
+a child is one subtraction; the fields start 1, 2, 4 or 8 bytes wide, as
+the first call's counts need, and a later count that needs wider fields
+rebuilds the layout at that width and empties the memo, whose keys were
+packed at the old one.  Factorizations walk the same packed keys and find
+their atoms by the same ANDs.  Layout and tables are built on first use
+for an atom set and cached on it, so enumerating atoms never pays for
+them.
 """
 
 from __future__ import annotations
@@ -206,8 +207,9 @@ _CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 def _divisor_tables(aset: AtomSet, width: int = 1) -> _Layout:
-    """Packed-key layout and bitset tables of an atom set, built on first
-    use and cached on it.
+    """Packed-key layout and bitset tables of an atom set, built at
+    ``width`` and cached on it.  The caller builds them only when the atom
+    set has no layout yet or needs a wider one than it has.
 
     A node of the length recursion is keyed by one integer with a field of
     ``width`` whole bytes per group element, field 0 least significant.
@@ -224,13 +226,10 @@ def _divisor_tables(aset: AtomSet, width: int = 1) -> _Layout:
     counts (a count of at least the element's largest multiplicity in an
     atom fits every atom); a closure, so a node pays no attribute lookups.
 
-    A call asking for a wider field than the cached layout has rebuilds
-    every table at that width and empties the atom set's memo, whose keys
+    Replacing a narrower layout empties the atom set's memo, whose keys
     were packed at the old width.
     """
     old = aset._divisor_tables
-    if old is not None and old.bits >= 8 * width:
-        return old
     n = aset.group.order()
     fields = struct.Struct(f"<{n}{_CODES[width]}")
     nbytes = len(aset.atoms_sparse) // 8 + 1
@@ -308,9 +307,11 @@ def _key_counts(aset: AtomSet, key: int) -> tuple[int, ...]:
 
 
 def _packed_key(aset: AtomSet, counts) -> tuple[_Layout, int]:
-    """The layout of ``aset`` and ``counts`` packed in it, widened first if
-    a count does not fit (ValueError if one is negative or needs 65 bits)."""
-    layout = aset._divisor_tables or _divisor_tables(aset)
+    """The layout of ``aset`` and ``counts`` packed in it.  The first
+    layout is built at the width ``counts`` needs, and a later count that
+    does not fit widens it (ValueError if one is negative or needs 65
+    bits)."""
+    layout = aset._divisor_tables or _divisor_tables(aset, _field_width(counts))
     try:
         return layout, int.from_bytes(layout.fields.pack(*layout.pick(counts)), "little")
     except struct.error:
@@ -397,38 +398,6 @@ def length_set(b: Sequence, atoms: AtomSet | None = None, budget=None) -> Length
     with phase("length_set"):
         mask = length_mask(aset, b.counts(), as_budget(budget))
     return LengthSet.from_mask(mask)
-
-
-def walk_atom_multisets(items, counts: list[int], visit) -> None:
-    """Depth-first walk over the multisets of ``items``.
-
-    ``items`` are sparse ``(index, multiplicity)`` vectors.  A multiset is
-    reached once, as the non-decreasing list ``chosen`` of its item
-    positions.  Each chosen item is added into ``counts`` (a list, restored
-    on return), so at every node it holds its starting value plus the sum
-    of the chosen items.
-    ``visit(depth, chosen)`` is the one hook: it runs at every node, the
-    empty root first, and returns whether to walk the node's children.
-    """
-    chosen: list[int] = []
-    n = len(items)
-
-    def rec(pos: int, depth: int) -> None:
-        # the node at ``depth`` has been visited; walk its children
-        child = depth + 1
-        for p in range(pos, n):
-            sp = items[p]
-            for i, m in sp:
-                counts[i] += m
-            chosen.append(p)
-            if visit(child, chosen):
-                rec(p, child)
-            chosen.pop()
-            for i, m in sp:
-                counts[i] -= m
-
-    if visit(0, chosen):
-        rec(0, 0)
 
 
 def factorization_index_lists(

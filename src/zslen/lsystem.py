@@ -58,7 +58,6 @@ from .factorize import (
     index_factorizations,
     length_mask,
     length_set,
-    walk_atom_multisets,
 )
 from .groups import AbelianGroup
 from .sequences import Sequence
@@ -264,11 +263,14 @@ def enumerate_system(
     sequences of one length in descending packed-key order, so one loop
     over each level keeps the largest key per set; there is no global sort.
 
-    ``num_atom_factors`` ranges over products of at most ``bound`` atoms,
-    with ``length_mask`` on a private copy of the atom set so that the
-    walk's memo is freed on return instead of staying on the shared one.
-    Each set keeps its first witness in depth-first order over
-    non-decreasing index lists.  Running out of budget raises
+    ``num_atom_factors`` ranges over products of at most ``bound`` atoms.
+    One recursive loop walks the atoms in reverse index order and reaches
+    each product once, as a non-decreasing list of positions, the empty
+    product first; a product of ``bound`` atoms has no children.  Each
+    product spends one budget node and one ``length_mask`` call on a
+    private copy of the atom set, so that the walk's memo is freed on
+    return instead of staying on the shared one, and each set keeps its
+    first witness in this depth-first order.  Running out of budget raises
     :class:`BudgetExceededError` with phase ``enumerate_system``.
     """
     if bound < 0:
@@ -285,14 +287,23 @@ def enumerate_system(
         else:
             counts = [0] * group.order()
             private = AtomSet(group, aset.support, aset.atoms_sparse)
+            items = aset.atoms_sparse[::-1]
 
-            def visit(depth, chosen):
+            def walk(pos, depth):
+                # a product of ``depth`` atoms, then its children from item pos on
                 bud.spend()
                 key = tuple(counts)
                 found.setdefault(length_mask(private, key, bud), key)
-                return depth < bound
+                if depth < bound:
+                    for p in range(pos, len(items)):
+                        sp = items[p]
+                        for i, m in sp:
+                            counts[i] += m
+                        walk(p, depth + 1)
+                        for i, m in sp:
+                            counts[i] -= m
 
-            walk_atom_multisets(aset.atoms_sparse[::-1], counts, visit)
+            walk(0, 0)
 
     sets = []
     for mask, wit_counts in found.items():
@@ -514,9 +525,15 @@ def rho_k(
 
     Any B with k in L(B) is a product of exactly k atoms, so scanning all
     k-atom products is exhaustive; max L is invariant under automorphisms,
-    so the scan keeps only products led by an orbit-minimal atom.
-    ``symmetry`` is accepted for compatibility and has no effect.  Running
-    out of budget raises :class:`BudgetExceededError` with phase ``rho_k``.
+    so the scan keeps only products led by an orbit-minimal atom.  One
+    recursive loop walks the atoms in the oracle's order (``_tau_walk``)
+    and reaches each product once, as a non-decreasing list of positions.
+    A leading atom that is not orbit-minimal is skipped with no node
+    spent.  Every product of 1..k atoms spends one budget node, and a
+    k-atom product one more, before its ``length_mask`` on the group's
+    atom set.  ``symmetry`` is accepted for compatibility and has no
+    effect.  Running out of budget raises :class:`BudgetExceededError`
+    with phase ``rho_k``.
     """
     if k < 1:
         raise ValueError("rho_k needs k >= 1")
@@ -529,20 +546,27 @@ def rho_k(
     flags = _orbit_minimal_flags(aset)
     best = 0
 
-    def visit(depth, chosen):
+    def walk(pos, depth):
+        # the children of a product of ``depth`` atoms, from item pos on
         nonlocal best
-        if depth:
-            if depth == 1 and not flags[order[chosen[0]]]:
-                return False
+        child = depth + 1
+        for p in range(pos, len(items)):
+            if depth == 0 and not flags[order[p]]:
+                continue
             bud.spend()
-        if depth < k:
-            return True
-        bud.spend()
-        best = max(best, length_mask(aset, tuple(counts), bud).bit_length() - 1)
-        return False
+            sp = items[p]
+            for i, m in sp:
+                counts[i] += m
+            if child < k:
+                walk(p, child)
+            else:
+                bud.spend()
+                best = max(best, length_mask(aset, tuple(counts), bud).bit_length() - 1)
+            for i, m in sp:
+                counts[i] -= m
 
     with phase("rho_k"):
-        walk_atom_multisets(items, counts, visit)
+        walk(0, 0)
     return best
 
 

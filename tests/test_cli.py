@@ -149,6 +149,18 @@ def test_system_and_closed_json(capsys):
     assert doc2["inconclusive"] == []
 
 
+def test_closed_reports_an_inconclusive_sumset_before_the_failing_pair(capsys):
+    code, out, _ = run_cli(
+        capsys, "closed", "--group", "C9", "--bound", "12", "--budget", "300000"
+    )
+    assert code == 0
+    assert out == (
+        "C9: NOT-CLOSED (bound 12)\n"
+        "  witness pair {2,5,6} + {2,5,6} = {4,7,8,10,11,12} is not realizable\n"
+        "  inconclusive: {2,3,6} + {2,3,6} = {4,5,6,8,9,12}\n"
+    )
+
+
 def test_rho_and_delta(capsys):
     code, out, _ = run_cli(capsys, "rho", "--group", "C3xC3", "--k", "3")
     assert code == 0 and out.strip() == "7"
@@ -190,6 +202,21 @@ def test_verify_single_scenario(capsys):
     sc = doc["scenarios"][0]
     assert sc["scenario"] == "lemma-3.3" and sc["passed"] is True
     assert all({"desc", "ref", "pass", "computed", "expected"} == set(c) for c in sc["claims"])
+
+
+@pytest.mark.parametrize(
+    "heavy,digest",
+    [(False, "74d23eee7708e2f03e5673f49e9fc6a2d0e66245f96e64cc062f5bfa82a21bf0"),
+     (True, "14c9e798269c6490305fe391a74952745bc7e7b1d30f40c5d9c1f85861be9b87")],
+    ids=["light", "heavy"],
+)
+def test_verify_all_output_is_pinned(capsys, monkeypatch, heavy, digest):
+    # the byte-exact stdout of every scenario, light and heavy, from a cold cache
+    monkeypatch.setattr(atoms, "_ATOMSET_CACHE", {})
+    argv = ["verify", "--scenario", "all", "--json"] + ["--heavy"] * heavy
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_usage_errors(capsys):

@@ -8,6 +8,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from zslen import atoms, factorize
 from zslen.budget import Budget, BudgetExceededError, CapExceededError
 from zslen.groups import AbelianGroup, parse_group
 from zslen.sequences import Sequence, parse_sequence
@@ -312,6 +313,22 @@ def test_factorizations_widen_the_layout():
     assert sorted(len(z) for z in zs) == [87, 88]
     assert bud.used == 432
     assert catenary_degree(b, aset) == 3
+
+
+def test_first_layout_is_built_at_the_width_the_counts_need(monkeypatch):
+    # a first call with a count of 258 builds the tables once, two bytes wide
+    monkeypatch.setattr(atoms, "_ATOMSET_CACHE", {})
+    widths = []
+    build = factorize._divisor_tables
+
+    def counted(aset, width=1):
+        widths.append(width)
+        return build(aset, width)
+
+    monkeypatch.setattr(factorize, "_divisor_tables", counted)
+    b = parse_sequence(parse_group("C3"), "(1)^258 (2)^3")
+    assert length_set(b) == LengthSet([87, 88])
+    assert widths == [2]
 
 
 def test_memo_hits_spend_no_budget():

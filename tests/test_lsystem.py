@@ -98,6 +98,16 @@ def test_system_num_atom_factors_bound():
     assert LengthSet([2, 3]) in system
 
 
+@pytest.mark.parametrize(
+    "bound_kind,bound,message",
+    [("atoms", 3, "unknown bound kind 'atoms'"), ("seq_length", -1, "bound must be >= 0"),
+     ("num_atom_factors", -1, "bound must be >= 0")],
+)
+def test_system_rejects_bad_bounds(bound_kind, bound, message):
+    with pytest.raises(ValueError, match=message):
+        enumerate_system(parse_group("C3"), bound_kind=bound_kind, bound=bound)
+
+
 NUM_ATOM_FACTORS_PINS = [
     ("C3", 6, 384, [
         ((0,), ""), ((1,), "(2)^3"), ((2,), "(2)^6"), ((2, 3), "(1)^3 (2)^3"),
@@ -903,6 +913,34 @@ def test_closure_inconclusive_then_not_closed(monkeypatch):
         system_size=44,
         exhausted_phase=None,
     )
+
+
+def test_closure_priority_pairs_go_first():
+    # the scan reaches {2,4,5} + {2,4,5} as its sixth sumset; moved to the
+    # front, it is the first and last one decided
+    g = parse_group("C2xC4")
+    pair = (LengthSet([2, 4, 5]), LengthSet([2, 4, 5]))
+    plain = check_additively_closed(g, bound=10)
+    first = check_additively_closed(g, bound=10, priority_pairs=(pair,))
+    for rep in (plain, first):
+        assert rep.verdict == "NOT-CLOSED"
+        assert rep.witness_pair == pair
+        assert rep.failed_sumset == LengthSet([4, 6, 7, 8, 9, 10])
+    assert (plain.pairs_checked, first.pairs_checked) == (6, 1)
+    with pytest.raises(ValueError, match="priority pairs must consist of known sets"):
+        check_additively_closed(
+            g, bound=10, priority_pairs=((LengthSet([2, 4, 5]), LengthSet([2, 99])),)
+        )
+
+
+def test_closure_rejects_an_extra_set_its_witness_does_not_realize():
+    g = parse_group("C2xC4")
+    u = parse_sequence(g, "(0,1)^3 (1,0) (1,1)")
+    extra = ((LengthSet([2, 5]), u * (-u)),)
+    with pytest.raises(
+        ValueError, match=r"^extra set \{2,5\} does not match its witness \(L = \{2,4,5\}\)$"
+    ):
+        check_additively_closed(g, bound=4, extra_sets=extra)
 
 
 def test_nfold_sumsets():
