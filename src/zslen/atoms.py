@@ -220,9 +220,10 @@ def enumerate_atoms(
 _ATOMSET_CACHE: dict = {}
 
 
-def atom_set_for(group: AbelianGroup, support=None) -> AtomSet:
+def atom_set_for(group: AbelianGroup, support=None, budget=None) -> AtomSet:
     """Cached full enumeration for a (group, support) pair; a support that
-    covers all of G shares the group's entry."""
+    covers all of G shares the group's entry.  ``budget`` bounds the
+    enumeration on a cache miss; a build that runs out caches nothing."""
     sup_key = None
     if support is not None:
         sup_key = tuple(sorted({group.index_of(e) for e in support}))
@@ -231,14 +232,15 @@ def atom_set_for(group: AbelianGroup, support=None) -> AtomSet:
     key = (group.invariant_factors, sup_key)
     got = _ATOMSET_CACHE.get(key)
     if got is None:
-        got = enumerate_atoms(group, support)
+        got = enumerate_atoms(group, support, budget=budget)
         _ATOMSET_CACHE[key] = got
     return got
 
 
-def davenport(group: AbelianGroup, support=None) -> int:
-    """Davenport constant: the maximal length of an atom over the support."""
-    d = atom_set_for(group, support).max_len
+def davenport(group: AbelianGroup, support=None, budget=None) -> int:
+    """Davenport constant: the maximal length of an atom over the support,
+    with ``budget`` bounding the atom-set build."""
+    d = atom_set_for(group, support, budget).max_len
     if support is None and group.rank() > 0:
         ns = group.invariant_factors
         lower = 1 + sum(n - 1 for n in ns)

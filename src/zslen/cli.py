@@ -100,11 +100,7 @@ def cmd_atoms(args) -> int:
 
 def cmd_davenport(args) -> int:
     group = parse_group(args.group)
-    support = _support(args, group)
-    if support is None:
-        value = davenport(group)
-    else:
-        value = enumerate_atoms(group, support, budget=args.budget).max_len
+    value = davenport(group, _support(args, group), args.budget)
     payload = {"group": str(group), "davenport": value}
     _emit(args, payload, [str(value)])
     return EXIT_OK
@@ -396,12 +392,14 @@ def _build_parser() -> argparse.ArgumentParser:
         # --threads 0 meant machine parallelism, so 0 stays accepted
         p.add_argument("--threads", type=_at_least(0), default=0,
                        help="accepted for compatibility; has no effect")
-        p.add_argument("--cap", type=_at_least(1), default=DEFAULT_FACTORIZATION_CAP,
-                       help="factorization materialization cap")
 
     def symmetry(p):
         p.add_argument("--symmetry", action="store_true",
                        help="accepted for compatibility; has no effect")
+
+    def cap(p):
+        p.add_argument("--cap", type=_at_least(1), default=DEFAULT_FACTORIZATION_CAP,
+                       help="factorization materialization cap")
 
     p = sub.add_parser("atoms", help="enumerate minimal zero-sum sequences")
     common(p)
@@ -418,6 +416,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("factorize", help="all factorizations of a zero-sum sequence")
     common(p)
     p.add_argument("--seq", required=True, help="sequence, e.g. '(0,1)^3 (1,0) (1,1)'")
+    cap(p)
     p.set_defaults(fn=cmd_factorize)
 
     p = sub.add_parser("lengths", help="set of lengths of a zero-sum sequence")
@@ -428,6 +427,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("catenary", help="catenary degree of a zero-sum sequence")
     common(p)
     p.add_argument("--seq", required=True)
+    cap(p)
     p.set_defaults(fn=cmd_catenary)
 
     p = sub.add_parser("system", help="all sets of lengths within a bound")

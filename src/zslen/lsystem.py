@@ -264,13 +264,15 @@ def enumerate_system(
     over each level keeps the largest key per set; there is no global sort.
 
     ``num_atom_factors`` ranges over products of at most ``bound`` atoms.
-    One recursive loop walks the atoms in reverse index order and reaches
-    each product once, as a non-decreasing list of positions, the empty
-    product first; a product of ``bound`` atoms has no children.  Each
-    product spends one budget node and one ``length_mask`` call on a
-    private copy of the atom set, so that the walk's memo is freed on
-    return instead of staying on the shared one, and each set keeps its
-    first witness in this depth-first order.  Running out of budget raises
+    One flat loop walks the atoms in reverse index order and reaches each
+    product once, as a non-decreasing list of positions, the empty product
+    first.  A stack entry carries a product's counts; its children go on
+    in descending position, so they pop in depth-first preorder, and a
+    product of ``bound`` atoms has none.  Each product spends one budget
+    node and one ``length_mask`` call on a private copy of the atom set,
+    so that the walk's memo is freed on return instead of staying on the
+    shared one, and each set keeps its first witness in this order.  The
+    depth is bounded by the budget alone.  Running out of budget raises
     :class:`BudgetExceededError` with phase ``enumerate_system``.
     """
     if bound < 0:
@@ -285,25 +287,20 @@ def enumerate_system(
         if bound_kind == "seq_length":
             found = _first_witnesses(aset, bound, bud)
         else:
-            counts = [0] * group.order()
             private = AtomSet(group, aset.support, aset.atoms_sparse)
             items = aset.atoms_sparse[::-1]
-
-            def walk(pos, depth):
-                # a product of ``depth`` atoms, then its children from item pos on
+            # (first child position, atoms in the product, its counts)
+            stack = [(0, 0, (0,) * group.order())]
+            while stack:
+                pos, depth, key = stack.pop()
                 bud.spend()
-                key = tuple(counts)
                 found.setdefault(length_mask(private, key, bud), key)
                 if depth < bound:
-                    for p in range(pos, len(items)):
-                        sp = items[p]
-                        for i, m in sp:
+                    for p in range(len(items) - 1, pos - 1, -1):
+                        counts = list(key)
+                        for i, m in items[p]:
                             counts[i] += m
-                        walk(p, depth + 1)
-                        for i, m in sp:
-                            counts[i] -= m
-
-            walk(0, 0)
+                        stack.append((p, depth + 1, tuple(counts)))
 
     sets = []
     for mask, wit_counts in found.items():
@@ -526,14 +523,18 @@ def rho_k(
     Any B with k in L(B) is a product of exactly k atoms, so scanning all
     k-atom products is exhaustive; max L is invariant under automorphisms,
     so the scan keeps only products led by an orbit-minimal atom.  One
-    recursive loop walks the atoms in the oracle's order (``_tau_walk``)
-    and reaches each product once, as a non-decreasing list of positions.
-    A leading atom that is not orbit-minimal is skipped with no node
-    spent.  Every product of 1..k atoms spends one budget node, and a
-    k-atom product one more, before its ``length_mask`` on the group's
-    atom set.  ``symmetry`` is accepted for compatibility and has no
-    effect.  Running out of budget raises :class:`BudgetExceededError`
-    with phase ``rho_k``.
+    flat loop walks the atoms in the oracle's order (``_tau_walk``) and
+    reaches each product once, as a non-decreasing list of positions.  A
+    stack entry carries a product's last position and the counts of the
+    atoms before it; children go on in descending position, so they pop
+    in depth-first preorder.  A leading atom that is not orbit-minimal is
+    never pushed, so it spends no node.  Every product of 1..k atoms
+    spends one budget node, and a k-atom product one more, before its
+    ``length_mask`` on a private copy of the group's atom set, whose memo
+    is freed on return; the walk order and the orbit flags come from the
+    shared one.  The depth is bounded by the budget alone.  ``symmetry``
+    is accepted for compatibility and has no effect.  Running out of
+    budget raises :class:`BudgetExceededError` with phase ``rho_k``.
     """
     if k < 1:
         raise ValueError("rho_k needs k >= 1")
@@ -542,31 +543,25 @@ def rho_k(
     bud = as_budget(budget)
     aset = atom_set_for(group)
     order, items, _ = _tau_walk(aset)
-    counts = [0] * group.order()
     flags = _orbit_minimal_flags(aset)
+    private = AtomSet(group, aset.support, aset.atoms_sparse)
+    last = len(items) - 1
     best = 0
-
-    def walk(pos, depth):
-        # the children of a product of ``depth`` atoms, from item pos on
-        nonlocal best
-        child = depth + 1
-        for p in range(pos, len(items)):
-            if depth == 0 and not flags[order[p]]:
-                continue
+    # (position of the last atom, atoms in the product, counts without it)
+    stack = [(p, 1, (0,) * group.order()) for p in range(last, -1, -1) if flags[order[p]]]
+    with phase("rho_k"):
+        while stack:
+            p, depth, parent = stack.pop()
             bud.spend()
-            sp = items[p]
-            for i, m in sp:
+            counts = list(parent)
+            for i, m in items[p]:
                 counts[i] += m
-            if child < k:
-                walk(p, child)
+            key = tuple(counts)
+            if depth < k:
+                stack += [(q, depth + 1, key) for q in range(last, p - 1, -1)]
             else:
                 bud.spend()
-                best = max(best, length_mask(aset, tuple(counts), bud).bit_length() - 1)
-            for i, m in sp:
-                counts[i] -= m
-
-    with phase("rho_k"):
-        walk(0, 0)
+                best = max(best, length_mask(private, key, bud).bit_length() - 1)
     return best
 
 

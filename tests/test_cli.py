@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -131,6 +132,27 @@ def test_factorize_cap_exhaustion_exit_code(capsys):
     code, out, err = run_cli(capsys, *FACTORIZE_ARGV, "--cap", "1")
     assert code == 3 and out == ""
     assert err == "error: more than 1 factorizations; raise the cap to materialize\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("atoms", "--group", "C3"),
+        ("davenport", "--group", "C3"),
+        ("lengths", "--group", "C3", "--seq", "(1)^3"),
+        ("system", "--group", "C3"),
+        ("decide", "--group", "C2xC4", "--set", "2,3"),
+        ("closed", "--group", "C3"),
+        ("rho", "--group", "C3", "--k", "2"),
+        ("delta", "--group", "C3"),
+        ("aamp", "--set", "2,5,8,9", "--d", "3"),
+        ("verify", "--scenario", "lemma-3.3"),
+    ],
+)
+def test_cap_is_rejected_where_no_factorizations_are_materialized(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--cap", "5")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --cap 5" in err
 
 
 def test_system_and_closed_json(capsys):
@@ -266,6 +288,29 @@ def test_system_budget_exhaustion_names_the_phase(capsys):
     )
     assert code == 3 and out == ""
     assert err.startswith("error: budget exhausted in enumerate_system:")
+
+
+def test_davenport_builds_its_atom_set_under_the_budget(capsys, monkeypatch):
+    # without --support too; a build that runs out caches nothing
+    monkeypatch.setattr(atoms, "_ATOMSET_CACHE", {})
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "davenport", "--group", "C3xC3xC3xC3", "--budget", "1000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert err.startswith("error: budget exhausted in enumerate_atoms:")
+    assert atoms._ATOMSET_CACHE == {}
+
+
+def test_system_num_atom_factors_walks_past_the_recursion_limit(capsys):
+    argv = ("system", "--group", "C2", "--bound", "1100", "--bound-kind", "num_atom_factors")
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 0 and json.loads(out)["count"] == 1101
+
+
+def test_rho_walks_past_the_recursion_limit(capsys):
+    code, out, err = run_cli(capsys, "rho", "--group", "C3", "--k", "1100", "--budget", "200000")
+    assert code == 3 and out == ""
+    assert err == "error: budget exhausted in rho_k: 200001 nodes used, limit 200000\n"
 
 
 def test_verify_system_pass_runs_under_the_budget(capsys):

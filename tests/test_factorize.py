@@ -289,6 +289,19 @@ def test_catenary_degree_matches_threshold_search(spec, text):
     assert catenary_degree(b) == threshold_catenary(factorizations(b))
 
 
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_catenary_degree_matches_threshold_search_on_random_sequences(data):
+    g = parse_group(data.draw(st.sampled_from(
+        ("C3", "C4", "C5", "C6", "C2xC2", "C2xC4", "C3xC3")
+    )))
+    prefix = Sequence(g, [g.element(i) for i in data.draw(
+        st.lists(st.integers(0, g.order() - 1), max_size=8)
+    )])
+    b = prefix * Sequence(g, [g.neg(prefix.sigma())])
+    assert catenary_degree(b) == threshold_catenary(factorizations(b))
+
+
 def test_catenary_budget_covers_distance_pairs():
     spec, text = LARGE_CATENARY_CASES[0]
     b = parse_sequence(parse_group(spec), text)

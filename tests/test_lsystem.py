@@ -639,6 +639,14 @@ def test_rho_k_cold_node_pins(monkeypatch, spec, k, value, nodes):
     assert bud.used == nodes
 
 
+def test_rho_k_leaves_length_memo_empty(monkeypatch):
+    # the walk's length_mask calls run on a private copy of the atom set
+    monkeypatch.setattr(atoms, "_ATOMSET_CACHE", {})
+    assert rho_k(parse_group("C3xC3"), 3) == 7
+    assert atoms._ATOMSET_CACHE
+    assert all(aset._length_memo == {} for aset in atoms._ATOMSET_CACHE.values())
+
+
 def test_elasticity():
     assert elasticity(parse_group("C2xC4")) == Fraction(5, 2)
     assert elasticity(parse_group("C3")) == Fraction(3, 2)
